@@ -8,13 +8,13 @@
 //! bench --workload <name> --seed <n> --seconds <s> --trace <0|1>
 //! ```
 //!
-//! Workloads (each one process, at most 2 worker threads):
+//! Workloads (each one process, one thread doing the work):
 //!
 //! * `deep_group` — the first 8 market apps, expert configuration, failure
 //!   injection, 6 external events, verified as one explicit group by
 //!   `Pipeline::verify_group` on the sequential engine.  The checker's
 //!   steady-state loop does almost all the work.
-//! * `daemon_cold` — a library `Daemon` (2 workers, default queue) over a
+//! * `daemon_cold` — a library `Daemon` (1 worker, default queue) over a
 //!   fresh verdict store runs one `run_batch` of the seeded job stream
 //!   ([`stream`]): hundreds of small searches, per-group fixed costs, the
 //!   shared cache and the store's write path.

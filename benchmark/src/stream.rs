@@ -1,28 +1,30 @@
 //! The seeded daemon job stream.
 //!
 //! Every job verifies `BundleSpec::Market(n)` — the first `n` apps of the
-//! built-in market corpus — at 2 or 3 external events, with failure
-//! injection on or off.  The stream is stratified so that two seeds give
-//! different jobs of comparable total cost: the bundle sizes `4..=150` are
-//! cut into [`STREAM_JOBS`] equal strata and one size is drawn from each,
-//! each run of four consecutive strata gets the four (events, failures)
-//! combinations in a seeded order, and jobs arrive in order of growing
-//! bundle, as a household that keeps installing apps would submit them.
-//! The fixed arrival order keeps the per-job latency distribution — which
-//! jobs find their groups already verified — the same shape for every
-//! seed.  The program under test only ever receives the resulting
-//! `JobSpec`s.
+//! built-in market corpus — at 2 external events with failure injection on
+//! or off, or at 3 events without it.  (3 events with failures made each
+//! such job cost about 8 times its 2-event twin: a quarter of the stream took
+//! three quarters of its time, leaving too few timed units in a run.)  The
+//! stream is stratified so that two seeds give different jobs of comparable
+//! total cost: the bundle sizes `4..=150` are cut into [`STREAM_JOBS`] equal
+//! strata and one size is drawn from each, each run of three consecutive
+//! strata gets the three (events, failures) combinations in a seeded order,
+//! and jobs arrive in order of growing bundle, as a household that keeps
+//! installing apps would submit them.  The fixed arrival order keeps the
+//! per-job latency distribution — which jobs find their groups already
+//! verified — the same shape for every seed.  The program under test only
+//! ever receives the resulting `JobSpec`s.
 
 use iotsan_daemon::{BundleSpec, JobSpec};
 
 /// Jobs in one stream.
-pub const STREAM_JOBS: usize = 40;
+pub const STREAM_JOBS: usize = 30;
 /// Smallest market bundle a job verifies.
 pub const MIN_APPS: usize = 4;
 /// Largest market bundle a job verifies (the whole corpus).
 pub const MAX_APPS: usize = 150;
 /// The (external events, failure injection) combinations a job can take.
-const KNOBS: [(usize, bool); 4] = [(2, false), (2, true), (3, false), (3, true)];
+const KNOBS: [(usize, bool); 3] = [(2, false), (2, true), (3, false)];
 const _: () = assert!(STREAM_JOBS.is_multiple_of(KNOBS.len()), "whole knob blocks");
 
 /// SplitMix64: a tiny, well-mixed generator whose output is fixed by its
@@ -126,8 +128,10 @@ mod tests {
             assert!(shapes
                 .iter()
                 .all(|&(n, e, _)| (MIN_APPS..=MAX_APPS).contains(&n) && (2..=3).contains(&e)));
-            assert_eq!(shapes.iter().filter(|s| s.1 == 3).count(), STREAM_JOBS / 2);
-            assert_eq!(shapes.iter().filter(|s| s.2).count(), STREAM_JOBS / 2);
+            for knob in KNOBS {
+                let jobs = shapes.iter().filter(|s| (s.1, s.2) == knob).count();
+                assert_eq!(jobs, STREAM_JOBS / KNOBS.len());
+            }
             let sizes: Vec<usize> = shapes.iter().map(|s| s.0).collect();
             let span = MAX_APPS - MIN_APPS + 1;
             for (stratum, size) in sizes.iter().enumerate() {
