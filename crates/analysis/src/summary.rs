@@ -13,7 +13,7 @@
 //! depends on how clever the analysis is.
 
 use iotsan_devices::{registry, CommandEffect};
-use iotsan_ir::{IrApp, IrExpr, IrHandler, IrStmt, Trigger};
+use iotsan_ir::{EventField, IrApp, IrExpr, IrHandler, IrStmt, Trigger};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -32,7 +32,7 @@ pub enum ReadEffect {
     Mode,
     /// Reads a field of the event being handled (`evt.value`, ...).
     EventField,
-    /// Reads the modelled clock (`now()` and friends).
+    /// Reads the modelled clock (`now()` and friends, and `evt.date`).
     Time,
     /// Reads an app persistent state slot (`state.name`).
     StateVar {
@@ -191,6 +191,15 @@ impl EffectSummary {
         out
     }
 
+    /// True when the handler can observe the modelled clock: it reads the
+    /// time (`now()`, `evt.date`), or it is a timer handler reading any field
+    /// of its tick event, whose value is the current time.
+    pub fn observes_clock(&self) -> bool {
+        self.reads.contains(&ReadEffect::Time)
+            || (matches!(self.trigger, Trigger::Timer { .. })
+                && self.reads.contains(&ReadEffect::EventField))
+    }
+
     /// True when the handler issues any actuator command.
     pub fn issues_commands(&self) -> bool {
         self.writes.iter().any(|w| matches!(w, WriteEffect::Command { .. }))
@@ -251,8 +260,12 @@ fn collect_expr_reads(expr: &IrExpr, reads: &mut BTreeSet<ReadEffect>) {
         IrExpr::LocationMode => {
             reads.insert(ReadEffect::Mode);
         }
-        IrExpr::EventField(_) => {
+        IrExpr::EventField(field) => {
             reads.insert(ReadEffect::EventField);
+            // An event's timestamp is the modelled clock.
+            if *field == EventField::Date {
+                reads.insert(ReadEffect::Time);
+            }
         }
         IrExpr::Time => {
             reads.insert(ReadEffect::Time);
@@ -404,6 +417,39 @@ mod tests {
             },
             body,
         }
+    }
+
+    #[test]
+    fn clock_observation_covers_now_dates_and_timer_ticks() {
+        let guarded = |cond: IrExpr| {
+            vec![IrStmt::If {
+                cond,
+                then: vec![IrStmt::DeviceCommand {
+                    input: "switches".into(),
+                    command: "on".into(),
+                    args: vec![],
+                }],
+                els: vec![],
+            }]
+        };
+        let observes = |handler: IrHandler| {
+            let app = app_with(handler.clone());
+            summarize_handler(&app, &handler).observes_clock()
+        };
+        assert!(observes(device_handler(guarded(IrExpr::Time))));
+        assert!(observes(device_handler(guarded(IrExpr::EventField(EventField::Date)))));
+        // Other event fields of a device event carry no time...
+        let value = guarded(IrExpr::EventField(EventField::Value));
+        assert!(!observes(device_handler(value.clone())));
+        // ...but a timer's tick event is the clock.
+        let timer = |body| IrHandler {
+            app: "Test".into(),
+            name: "tick".into(),
+            trigger: Trigger::Timer { delay_seconds: Some(60) },
+            body,
+        };
+        assert!(observes(timer(value)));
+        assert!(!observes(timer(guarded(IrExpr::LocationMode))));
     }
 
     #[test]

@@ -981,8 +981,9 @@ fn telemetry_experiment(json: &mut BenchJson) {
 
 /// The scenario-factory differential fuzzer: `size` generated households
 /// starting at `seed_start`, each verified sequential / parallel / sliced /
-/// warm-cache with all engine pairs required to agree (plus a Promela LTL
-/// spot-check on small instances).  Emits one `scenario_fuzz` summary row.
+/// warm-cache and by the naive reference explorer, with all engine pairs
+/// required to agree (plus a Promela LTL spot-check on small instances).
+/// Emits one `scenario_fuzz` summary row.
 /// On any divergence: shrinks the household to a minimal reproduction under
 /// the *same* divergence phase, writes it to `scenario_repro.json` and exits
 /// non-zero so CI fails loudly and uploads the artifact.
@@ -1047,7 +1048,7 @@ fn scenarios_experiment(json: &mut BenchJson, seed_start: u64, size: usize) {
         totals.groups, totals.states, totals.transitions
     );
     println!(
-        "all four engines agreed on every household ({promela_checked} Promela spot-checks); \
+        "all five engines agreed on every household ({promela_checked} Promela spot-checks); \
          {seconds:.2}s, {states_per_sec:.0} states/sec"
     );
     json.push_experiment(

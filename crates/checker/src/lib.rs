@@ -13,11 +13,12 @@
 //!   implements (sequential and strict-concurrent designs);
 //! * [`store`] — exhaustive, hash-compact and BITSTATE (Bloom filter) visited
 //!   state storage, plus a sharded concurrent store for multi-core search;
-//! * [`search`] — bounded DFS/BFS with per-property counterexamples and search
-//!   statistics;
-//! * [`parallel`] — the multi-core engine: a `std::thread` worker pool over a
-//!   shared chunked work queue, deterministically merged (Spin's multi-core /
-//!   swarm verification in spirit);
+//! * [`search`] — bounded level-order (breadth-first) search that stores and
+//!   expands each state once, with shortest per-property counterexamples and
+//!   search statistics;
+//! * [`parallel`] — the multi-core engine: `std::thread` workers expanding
+//!   each level over a sharded visited set, deterministically merged (Spin's
+//!   multi-core / swarm verification in spirit);
 //! * [`trace`] — Spin-style violation logs (Figure 7).
 //!
 //! The checker is completely independent of IoT semantics, which keeps it
@@ -33,9 +34,7 @@ pub mod trace;
 pub mod transition;
 
 pub use parallel::ParallelChecker;
-pub use search::{
-    CancelToken, Checker, FoundViolation, SearchConfig, SearchMode, SearchReport, SearchStats,
-};
+pub use search::{CancelToken, Checker, FoundViolation, SearchConfig, SearchReport, SearchStats};
 pub use store::{
     fnv1a, BitstateStore, ExactStore, HashCompactStore, ShardedStore, StateStore, StoreKind,
 };

@@ -1,88 +1,56 @@
 //! Multi-core explicit-state search.
 //!
 //! [`ParallelChecker`] is the parallel counterpart of [`Checker`]: a pool of
-//! `std::thread` workers explores the same bounded state space over a shared,
-//! chunked work queue and a [`ShardedStore`] of visited states (in the spirit
-//! of Spin's multi-core and swarm verification).  No external runtime is
-//! involved — the engine is plain `std` threads, mutexes and atomics.
+//! `std::thread` workers explores the same bounded state space, level by
+//! level, over a [`ShardedStore`] of visited states (in the spirit of Spin's
+//! multi-core and swarm verification).  No external runtime is involved —
+//! the engine is plain `std` threads and atomics.
 //!
-//! # How work is shared
+//! # Level-synchronous search
 //!
-//! Each worker expands frames from a private stack (depth-first, like the
-//! sequential engine) and periodically moves the *shallowest* half of its
-//! stack to the global queue whenever the queue is running dry, so idle
-//! workers always find wide, coarse-grained frames to steal.  Termination
-//! uses an idle-counter protocol: a worker that finds both its stack and the
-//! global queue empty parks on a condvar; when every worker is parked the
-//! frontier is exhausted and the search is over.
-//!
-//! # Counterexample bookkeeping
-//!
-//! Like the sequential engine, workers never clone traces on the hot path:
-//! each worker owns a parent-pointer `TraceArena` (`crate::search`)
-//! recording one `(parent, action)` node per state *it*
-//! admitted.  Frames donated to the shared queue carry their root-to-frame
-//! action path as an owned prefix, which the stealing worker registers in its
-//! own arena — so arenas are strictly worker-private (no cross-thread
-//! dereference of a growing arena) while every frame, wherever it travels,
-//! can still reconstruct its full path.  Violations record `(depth, action
-//! path)` candidates; the deterministic merge ranks them exactly as before
-//! and only the per-property winners are materialized into full [`crate::Trace`]s
-//! by replay.
+//! Like the sequential engine the search is breadth-first: level `d` holds
+//! the states first reached after `d` external events.  Workers claim chunks
+//! of the current level through an atomic cursor, expand them, and insert
+//! the successors into the shared store; the store admits each state once,
+//! to whichever worker gets there first.  When the level is exhausted the
+//! workers join (the barrier), their admitted states are appended to the
+//! trace arena and become the next level (states at the depth bound are
+//! stored but never kept: nothing expands them).  Because the arena only
+//! grows between levels, workers read it without locks while expanding.
 //!
 //! # Determinism
 //!
-//! With exact (or hash-compact) storage, depth is part of state identity and
-//! every `(state, depth)` pair is admitted by the store exactly once no
-//! matter which worker gets there first, so for an *exhaustive* search (no
-//! `stop_at_first`, no cap or time budget firing) the *set of expanded
-//! frames* — and therefore the set of violated properties, the number of
-//! stored states and the number of applied transitions — is identical to the
-//! sequential checker's for the same bounded model.  An early-stopped search
-//! is inherently order-dependent in either engine: under `stop_at_first` the
-//! parallel merge reports the co-violated properties of one best-ranked
-//! triggering step, which may be a different step than sequential DFS order
-//! happens to reach first.  Worker results are merged by
-//! keeping, per property, the lexicographically least `(depth, rendered
-//! action sequence)` candidate, so the *depth* of every reported
-//! counterexample is also schedule-independent.  The trace itself is
-//! best-effort: when two equal-depth paths race to admit the same state, the
-//! winner's path seeds that state's whole subtree, so the specific event
-//! sequence reported for a property may differ between runs (its length
-//! never does).  (Bitstate storage stays approximate: admission of colliding
-//! states depends on insertion order, exactly as Spin's multi-core BITSTATE
-//! mode trades determinism for memory.)
+//! With exact (or hash-compact) storage the set of states in every level is
+//! schedule-independent, so for an *exhaustive* search (no `stop_at_first`,
+//! no cap or time budget firing) the set of expanded states — and therefore
+//! the set of violated properties, the number of stored states, the number
+//! of applied transitions and the depth reached — is identical to the
+//! sequential checker's for the same bounded model.  Worker results are
+//! merged by keeping, per property, the lexicographically least `(depth,
+//! rendered action sequence)` candidate; every counterexample is shortest,
+//! so its depth also equals the sequential engine's.  The trace itself is
+//! best-effort: when two paths race to admit the same state, the winner's
+//! path seeds that state's whole subtree, so the specific event sequence
+//! reported for a property may differ between runs (its length never does).
+//! An early-stopped search is order-dependent in either engine: under
+//! `stop_at_first` the merge reports the co-violated properties of one
+//! best-ranked triggering step.  (Bitstate storage stays approximate:
+//! admission of colliding states depends on insertion order, exactly as
+//! Spin's multi-core BITSTATE mode trades determinism for memory.)
 
 use crate::search::{
-    depth_tag, flush_search_telemetry, materialize_trace, states_per_sec, Checker, FoundViolation,
-    SearchConfig, SearchReport, SearchStats, TraceArena,
+    flush_search_telemetry, materialize_trace, states_per_sec, Checker, FoundViolation,
+    SearchConfig, SearchReport, SearchStats, TraceArena, NO_PARENT,
 };
 use crate::store::ShardedStore;
 use crate::transition::{StepLog, TransitionSystem, Violation};
 use iotsan_telemetry::flight::{self, EventCode, Level};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
-/// How many frames a worker pulls from the global queue in one pop.
+/// How many level entries a worker claims at once.
 const CHUNK: usize = 16;
-
-/// Where a frame's action path is rooted: a node of the local arena, or (for
-/// frames that travelled through the shared queue) an owned path.
-enum Lineage<A> {
-    /// Node id in the expanding worker's arena.
-    Local(u32),
-    /// The full root-to-frame action path, carried along with a stolen frame.
-    Owned(Vec<A>),
-}
-
-/// A frontier entry: a state to expand, its event depth and its lineage.
-struct Frame<S, A> {
-    state: S,
-    depth: usize,
-    lineage: Lineage<A>,
-}
 
 /// A violation candidate: enough to rank deterministically and to
 /// materialize the winner's trace later.
@@ -102,36 +70,15 @@ impl<A> Candidate<A> {
     }
 }
 
-/// The shared frontier plus the termination-detection bookkeeping it guards.
-struct Frontier<S, A> {
-    items: VecDeque<Frame<S, A>>,
-    /// Workers currently parked waiting for work.
-    idle: usize,
-    /// Set once: either every worker went idle or a stop condition fired.
-    done: bool,
-}
-
 /// Everything the workers share.
 struct Shared<'m, T: TransitionSystem> {
     model: &'m T,
     config: &'m SearchConfig,
-    workers: usize,
     store: ShardedStore,
-    frontier: Mutex<Frontier<T::State, T::Action>>,
-    /// Approximate mirror of `frontier.items.len()`, readable without the
-    /// lock so workers can decide cheaply whether the queue is hungry.
-    frontier_len: AtomicUsize,
-    available: Condvar,
+    /// Index of the next unclaimed entry of the current level.
+    cursor: AtomicUsize,
     transitions: AtomicUsize,
     stored: AtomicUsize,
-    /// Store insertions rejected as already-visited (telemetry tally).
-    dedup_hits: AtomicUsize,
-    /// Peak length of the shared work queue (telemetry tally; worker-local
-    /// stacks are not counted).
-    frontier_peak: AtomicUsize,
-    max_depth_reached: AtomicUsize,
-    /// Total arena bookkeeping bytes, accumulated as workers retire.
-    arena_bytes: AtomicUsize,
     /// Hard-stop flag (budget exhausted or stop-at-first fired).
     stop: AtomicBool,
     transitions_capped: AtomicBool,
@@ -140,35 +87,34 @@ struct Shared<'m, T: TransitionSystem> {
 }
 
 impl<T: TransitionSystem> Shared<'_, T> {
-    /// Raises the stop flag and wakes every parked worker.
     fn request_stop(&self) {
         self.stop.store(true, Ordering::Relaxed);
-        let mut frontier = self.lock_frontier();
-        frontier.done = true;
-        self.available.notify_all();
     }
 
-    fn lock_frontier(&self) -> std::sync::MutexGuard<'_, Frontier<T::State, T::Action>> {
-        match self.frontier.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+    fn stopped(&self) -> bool {
+        self.stop.load(Ordering::Relaxed)
     }
 
     /// Checks the wall-clock budget and the cancellation token; called once
     /// per expansion, like the sequential engine's per-expansion cap check.
     fn check_deadline(&self) {
-        if let Some(deadline) = self.deadline {
-            if Instant::now() > deadline {
-                self.request_stop();
-            }
-        }
-        if let Some(token) = &self.config.cancel {
-            if token.is_cancelled() {
-                self.request_stop();
-            }
+        if self.deadline.is_some_and(|deadline| Instant::now() > deadline)
+            || self.config.cancel.as_ref().is_some_and(|token| token.is_cancelled())
+        {
+            self.request_stop();
         }
     }
+}
+
+/// What one worker produced while expanding its share of a level.
+struct LevelOutput<S, A> {
+    /// Newly admitted states with their parent node and the action that
+    /// reached them.
+    admitted: Vec<(S, u32, A)>,
+    /// Best violation candidate per property found at this level.
+    best: BTreeMap<u32, Candidate<A>>,
+    /// Store insertions rejected as already-visited (telemetry tally).
+    dedup_hits: usize,
 }
 
 /// The multi-core explicit-state model checker.
@@ -177,13 +123,6 @@ impl<T: TransitionSystem> Shared<'_, T> {
 /// [`SearchConfig::workers`] sets the pool size (a value of `0` or `1` simply
 /// delegates to the sequential engine) and [`SearchConfig::shards`] sizes the
 /// [`ShardedStore`] (0 = proportional to the worker count).
-///
-/// [`SearchConfig::mode`] is ignored when more than one worker runs: the
-/// exploration order is work-stealing depth-first, neither DFS nor BFS, so
-/// BFS's shortest-counterexample guarantee does not carry over (the merge
-/// still reports the minimum-depth candidate *encountered*, which repeated
-/// parallel runs agree on).  Use the sequential engine when strict BFS order
-/// matters.
 #[derive(Debug, Clone, Default)]
 pub struct ParallelChecker {
     config: SearchConfig,
@@ -214,13 +153,13 @@ impl ParallelChecker {
     /// Runs the search over `model` and reports violations and statistics.
     ///
     /// The model must be shareable across worker threads (`Sync`, with
-    /// sendable states and actions); every model in `iotsan-core` satisfies
+    /// shareable states and actions); every model in `iotsan-core` satisfies
     /// this.
     pub fn verify<T>(&self, model: &T) -> SearchReport
     where
         T: TransitionSystem + Sync,
-        T::State: Send,
-        T::Action: Send,
+        T::State: Send + Sync,
+        T::Action: Send + Sync,
     {
         let workers = self.config.effective_workers();
         if workers == 1 {
@@ -239,22 +178,13 @@ impl ParallelChecker {
         model.encode(&initial, &mut encode_buf);
         store.insert(&encode_buf);
 
-        let mut items = VecDeque::new();
-        items.push_back(Frame { state: initial, depth: 0, lineage: Lineage::Owned(Vec::new()) });
         let shared = Shared {
             model,
             config: &self.config,
-            workers,
             store,
-            frontier: Mutex::new(Frontier { items, idle: 0, done: false }),
-            frontier_len: AtomicUsize::new(1),
-            available: Condvar::new(),
+            cursor: AtomicUsize::new(0),
             transitions: AtomicUsize::new(0),
             stored: AtomicUsize::new(1),
-            dedup_hits: AtomicUsize::new(0),
-            frontier_peak: AtomicUsize::new(1),
-            max_depth_reached: AtomicUsize::new(0),
-            arena_bytes: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
             transitions_capped: AtomicBool::new(false),
             states_capped: AtomicBool::new(false),
@@ -263,13 +193,45 @@ impl ParallelChecker {
             deadline: self.config.time_limit.and_then(|limit| start.checked_add(limit)),
         };
 
-        let per_worker: Vec<BTreeMap<u32, Candidate<T::Action>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(|| worker(&shared))).collect();
-            handles.into_iter().map(|h| h.join().expect("search worker panicked")).collect()
-        });
+        let mut arena: TraceArena<T::Action> = TraceArena::new();
+        let mut best: BTreeMap<u32, Candidate<T::Action>> = BTreeMap::new();
+        let mut level: Vec<(T::State, u32)> = vec![(initial, NO_PARENT)];
+        let (mut dedup_hits, mut frontier_peak, mut max_depth_reached) = (0, 1, 0);
+        for depth in 0..self.config.max_depth {
+            shared.cursor.store(0, Ordering::Relaxed);
+            let before = shared.transitions.load(Ordering::Relaxed);
+            let outputs: Vec<LevelOutput<T::State, T::Action>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|_| scope.spawn(|| expand_level(&shared, &level, &arena, &best, depth)))
+                    .collect();
+                // Joining every worker is the level barrier; a worker panic
+                // (in `actions`/`apply`/`encode`) propagates to the caller.
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+                    .collect()
+            });
+            if shared.transitions.load(Ordering::Relaxed) > before {
+                max_depth_reached = depth + 1;
+            }
+            level.clear();
+            for output in outputs {
+                dedup_hits += output.dedup_hits;
+                for candidate in output.best.into_values() {
+                    record_candidate(&mut best, candidate);
+                }
+                for (state, parent, action) in output.admitted {
+                    level.push((state, arena.push(parent, &action)));
+                }
+            }
+            if level.is_empty() || shared.stopped() {
+                break;
+            }
+            frontier_peak = frontier_peak.max(level.len());
+        }
 
-        let violations = merge_violations(model, per_worker, self.config.stop_at_first);
-        let stopped_early = shared.stop.load(Ordering::Relaxed);
+        let violations = merge_violations(model, best, self.config.stop_at_first);
+        let stopped_early = shared.stopped();
         let states_capped = shared.states_capped.load(Ordering::Relaxed);
         let transitions_capped = shared.transitions_capped.load(Ordering::Relaxed);
         // Stop-at-first ending on a found violation is a normal exit, not a
@@ -282,11 +244,11 @@ impl ParallelChecker {
         let stats = SearchStats {
             states_stored,
             transitions: shared.transitions.load(Ordering::Relaxed),
-            max_depth_reached: shared.max_depth_reached.load(Ordering::Relaxed),
+            max_depth_reached,
             elapsed,
             states_per_sec: states_per_sec(states_stored, elapsed),
             store_memory_bytes: shared.store.memory_bytes(),
-            peak_trace_bytes: shared.arena_bytes.load(Ordering::Relaxed)
+            peak_trace_bytes: arena.memory_bytes()
                 + violations.iter().map(|v| v.trace.memory_bytes()).sum::<usize>(),
             truncated: (stopped_early && !stop_at_first_exit)
                 || states_capped
@@ -297,18 +259,16 @@ impl ParallelChecker {
         };
         flush_search_telemetry(
             &stats,
-            shared.dedup_hits.load(Ordering::Relaxed),
-            shared.frontier_peak.load(Ordering::Relaxed),
+            dedup_hits,
+            frontier_peak,
             self.config.cancel.as_ref().is_some_and(|t| t.is_cancelled()),
         );
         SearchReport { violations, stats }
     }
 }
 
-/// Reduces the per-worker candidate maps to one counterexample per property,
-/// deterministically: per property the lexicographically least
-/// `(depth, rendered actions)` candidate wins, and the result is ordered by
-/// property id.  Only the winners are materialized into full traces (by
+/// Reduces the merged candidates to one counterexample per property, ordered
+/// by property id.  Only the winners are materialized into full traces (by
 /// replaying their action sequences).  Under `stop_at_first` only the
 /// best-ranked triggering transition's violations survive — like the
 /// sequential engine, which records *every* property the first violating
@@ -316,15 +276,9 @@ impl ParallelChecker {
 /// at once).
 fn merge_violations<T: TransitionSystem>(
     model: &T,
-    per_worker: Vec<BTreeMap<u32, Candidate<T::Action>>>,
+    best: BTreeMap<u32, Candidate<T::Action>>,
     stop_at_first: bool,
 ) -> Vec<FoundViolation> {
-    let mut best: BTreeMap<u32, Candidate<T::Action>> = BTreeMap::new();
-    for map in per_worker {
-        for candidate in map.into_values() {
-            record_candidate(&mut best, candidate);
-        }
-    }
     let mut merged: Vec<Candidate<T::Action>> = best.into_values().collect();
     if stop_at_first && merged.len() > 1 {
         // Keep the co-violated properties of a single triggering step:
@@ -361,229 +315,91 @@ fn record_candidate<A>(best: &mut BTreeMap<u32, Candidate<A>>, candidate: Candid
     }
 }
 
-/// Unwind guard: a worker that panics (in `model.actions`/`apply`/`encode`)
-/// dies without ever joining the idle-counter protocol, which would leave
-/// the surviving workers parked forever (`idle` can no longer reach
-/// `workers`).  Raising the stop flag on unwind wakes everyone, the pool
-/// drains, and `thread::scope`'s join propagates the panic instead of
-/// hanging.
-struct StopOnPanic<'a, 'm, T: TransitionSystem> {
-    shared: &'a Shared<'m, T>,
-}
-
-impl<T: TransitionSystem> Drop for StopOnPanic<'_, '_, T> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.shared.request_stop();
-        }
-    }
-}
-
-/// Per-worker reusable hot-loop buffers.
-struct WorkerScratch<T: TransitionSystem> {
-    arena: TraceArena<T::Action>,
-    actions: Vec<T::Action>,
-    encode: Vec<u8>,
-    path: Vec<T::Action>,
-    model_scratch: T::Scratch,
-    log: StepLog<T::Event>,
-}
-
-/// One worker of the pool: expand local frames depth-first, share surplus
-/// when the global queue runs dry, park when there is nothing left anywhere.
-fn worker<T>(shared: &Shared<'_, T>) -> BTreeMap<u32, Candidate<T::Action>>
-where
-    T: TransitionSystem + Sync,
-    T::State: Send,
-    T::Action: Send,
-{
-    let _guard = StopOnPanic { shared };
-    let mut local: Vec<Frame<T::State, T::Action>> = Vec::new();
-    let mut best: BTreeMap<u32, Candidate<T::Action>> = BTreeMap::new();
-    let mut scratch = WorkerScratch::<T> {
-        arena: TraceArena::new(),
-        actions: Vec::new(),
-        encode: Vec::new(),
-        path: Vec::new(),
-        model_scratch: T::Scratch::default(),
-        log: StepLog::disabled(),
-    };
-
-    while let Some(frame) = next_frame(shared, &mut local) {
-        expand(shared, frame, &mut local, &mut best, &mut scratch);
-        share_surplus(shared, &mut local, &scratch.arena);
-    }
-    shared.arena_bytes.fetch_add(scratch.arena.memory_bytes(), Ordering::Relaxed);
-    best
-}
-
-/// Pops the next frame, pulling a chunk from the global queue when the local
-/// stack is empty and running the idle/termination protocol when the global
-/// queue is empty too.
-fn next_frame<T>(
+/// One worker's share of a level: claim chunks of `level` until none are
+/// left, apply every enabled action, record violations and admit unseen
+/// successors to the shared store.  `arena` and `found` (the candidates of
+/// earlier levels) are read-only until the level's barrier.
+fn expand_level<T>(
     shared: &Shared<'_, T>,
-    local: &mut Vec<Frame<T::State, T::Action>>,
-) -> Option<Frame<T::State, T::Action>>
-where
-    T: TransitionSystem,
-{
-    if shared.stop.load(Ordering::Relaxed) {
-        local.clear();
-    } else if let Some(frame) = local.pop() {
-        return Some(frame);
-    }
-
-    let mut frontier = shared.lock_frontier();
-    loop {
-        if shared.stop.load(Ordering::Relaxed) || frontier.done {
-            frontier.done = true;
-            shared.available.notify_all();
-            return None;
-        }
-        if !frontier.items.is_empty() {
-            // Take a fair share of the queue, at most a chunk: under-taking
-            // costs a re-lock, over-taking starves the other workers.
-            let fair = frontier.items.len().div_ceil(shared.workers);
-            let take = fair.clamp(1, CHUNK);
-            local.extend(frontier.items.drain(..take));
-            shared.frontier_len.store(frontier.items.len(), Ordering::Relaxed);
-            return local.pop();
-        }
-        frontier.idle += 1;
-        if frontier.idle == shared.workers {
-            // Everyone is idle and the queue is empty: the bounded state
-            // space is exhausted.
-            frontier.done = true;
-            shared.available.notify_all();
-            return None;
-        }
-        frontier = match shared.available.wait(frontier) {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        frontier.idle -= 1;
-    }
-}
-
-/// Moves the shallowest half of an oversized local stack to the global queue
-/// when the queue is hungry, waking parked workers.  Donated frames have
-/// their lineage resolved into owned action paths (walking the donor's
-/// arena), so the stealing worker never touches this worker's arena.
-fn share_surplus<T>(
-    shared: &Shared<'_, T>,
-    local: &mut Vec<Frame<T::State, T::Action>>,
+    level: &[(T::State, u32)],
     arena: &TraceArena<T::Action>,
-) where
+    found: &BTreeMap<u32, Candidate<T::Action>>,
+    depth: usize,
+) -> LevelOutput<T::State, T::Action>
+where
     T: TransitionSystem,
 {
-    if local.len() < 2 {
-        return;
-    }
-    if shared.frontier_len.load(Ordering::Relaxed) >= shared.workers {
-        return;
-    }
-    let keep = local.len() - local.len() / 2;
-    let donate = local.len() - keep;
-    // Donate the *bottom* of the stack: those frames are the shallowest, so a
-    // stealing worker receives a large subtree instead of a near-leaf.  Path
-    // resolution (the arena walks and their allocations) happens *before*
-    // taking the shared lock, so donation bursts never serialize the pool.
-    for frame in local[..donate].iter_mut() {
-        if let Lineage::Local(node) = frame.lineage {
-            let mut path = Vec::new();
-            arena.path(node, &mut path);
-            frame.lineage = Lineage::Owned(path);
+    let model = shared.model;
+    let next_depth = depth + 1;
+    // States at the bound are stored but never expanded: keep none of them.
+    let keep = next_depth < shared.config.max_depth;
+    let mut output = LevelOutput { admitted: Vec::new(), best: BTreeMap::new(), dedup_hits: 0 };
+    let mut actions = Vec::new();
+    let mut encode = Vec::new();
+    let mut path = Vec::new();
+    let mut model_scratch = T::Scratch::default();
+    let mut log = StepLog::disabled();
+    loop {
+        let begin = shared.cursor.fetch_add(CHUNK, Ordering::Relaxed);
+        if begin >= level.len() {
+            return output;
         }
-    }
-    let mut frontier = shared.lock_frontier();
-    frontier.items.extend(local.drain(..donate));
-    shared.frontier_len.store(frontier.items.len(), Ordering::Relaxed);
-    shared.frontier_peak.fetch_max(frontier.items.len(), Ordering::Relaxed);
-    shared.available.notify_all();
-}
-
-/// Expands one frame exactly like the sequential DFS body: apply every
-/// enabled action, record violations, admit unseen `(state, depth)` pairs to
-/// the shared store and push them for further expansion.
-fn expand<T>(
-    shared: &Shared<'_, T>,
-    frame: Frame<T::State, T::Action>,
-    local: &mut Vec<Frame<T::State, T::Action>>,
-    best: &mut BTreeMap<u32, Candidate<T::Action>>,
-    scratch: &mut WorkerScratch<T>,
-) where
-    T: TransitionSystem + Sync,
-    T::State: Send,
-{
-    shared.check_deadline();
-    if shared.stop.load(Ordering::Relaxed) || frame.depth >= shared.config.max_depth {
-        return;
-    }
-    // Root this frame in the local arena: a frame that travelled through the
-    // shared queue registers its owned path as a prefix exactly once.
-    let parent = match frame.lineage {
-        Lineage::Local(node) => node,
-        Lineage::Owned(path) => scratch.arena.add_prefix(path),
-    };
-    shared.model.actions(&frame.state, &mut scratch.actions);
-    for index in 0..scratch.actions.len() {
-        if shared.stop.load(Ordering::Relaxed) {
-            return;
-        }
-        let action = &scratch.actions[index];
-        let transitions = shared.transitions.fetch_add(1, Ordering::Relaxed).saturating_add(1);
-        if transitions >= shared.config.max_transitions {
-            shared.transitions_capped.store(true, Ordering::Relaxed);
-            shared.request_stop();
-        }
-        let outcome =
-            shared.model.apply(&frame.state, action, &mut scratch.model_scratch, &mut scratch.log);
-        let next_depth = frame.depth + 1;
-        shared.max_depth_reached.fetch_max(next_depth, Ordering::Relaxed);
-
-        if !outcome.violations.is_empty() {
-            record_step_violations(
-                shared.model,
-                &outcome.violations,
-                &scratch.arena,
-                parent,
-                action,
-                next_depth,
-                best,
-                &mut scratch.path,
-            );
-            if shared.config.stop_at_first {
-                shared.request_stop();
-                return;
+        for (state, node) in &level[begin..(begin + CHUNK).min(level.len())] {
+            shared.check_deadline();
+            if shared.stopped() {
+                return output;
             }
-        }
-
-        scratch.encode.clear();
-        shared.model.encode(&outcome.state, &mut scratch.encode);
-        // Depth is part of state identity, exactly as in the sequential
-        // engine (see `Checker::run`).
-        scratch.encode.push(depth_tag(next_depth));
-        if shared.store.insert(&scratch.encode) {
-            let stored = shared.stored.fetch_add(1, Ordering::Relaxed).saturating_add(1);
-            if stored >= shared.config.max_states {
-                shared.states_capped.store(true, Ordering::Relaxed);
-                shared.request_stop();
+            model.actions(state, &mut actions);
+            for action in &actions {
+                if shared.stopped() {
+                    return output;
+                }
+                let transitions = shared.transitions.fetch_add(1, Ordering::Relaxed) + 1;
+                if transitions >= shared.config.max_transitions {
+                    shared.transitions_capped.store(true, Ordering::Relaxed);
+                    shared.request_stop();
+                }
+                let outcome = model.apply(state, action, &mut model_scratch, &mut log);
+                if !outcome.violations.is_empty() {
+                    record_step_violations(
+                        model,
+                        &outcome.violations,
+                        arena,
+                        *node,
+                        action,
+                        next_depth,
+                        found,
+                        &mut output.best,
+                        &mut path,
+                    );
+                    if shared.config.stop_at_first {
+                        shared.request_stop();
+                        return output;
+                    }
+                }
+                encode.clear();
+                model.encode(&outcome.state, &mut encode);
+                if shared.store.insert(&encode) {
+                    let stored = shared.stored.fetch_add(1, Ordering::Relaxed) + 1;
+                    if stored >= shared.config.max_states {
+                        shared.states_capped.store(true, Ordering::Relaxed);
+                        shared.request_stop();
+                    }
+                    if keep {
+                        output.admitted.push((outcome.state, *node, action.clone()));
+                    }
+                } else {
+                    output.dedup_hits += 1;
+                }
             }
-            let node = scratch.arena.push(parent, action);
-            local.push(Frame {
-                state: outcome.state,
-                depth: next_depth,
-                lineage: Lineage::Local(node),
-            });
-        } else {
-            shared.dedup_hits.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
 
 /// Records candidates for every violation of one step, skipping the path
-/// walk and action rendering whenever the candidate cannot beat the current
-/// best for its property.
+/// walk and action rendering for properties already violated at an earlier
+/// level: those counterexamples are strictly shallower, so this one cannot
+/// win.
 #[allow(clippy::too_many_arguments)]
 fn record_step_violations<T: TransitionSystem>(
     model: &T,
@@ -592,6 +408,7 @@ fn record_step_violations<T: TransitionSystem>(
     parent: u32,
     action: &T::Action,
     depth: usize,
+    found: &BTreeMap<u32, Candidate<T::Action>>,
     best: &mut BTreeMap<u32, Candidate<T::Action>>,
     path_buf: &mut Vec<T::Action>,
 ) {
@@ -599,10 +416,8 @@ fn record_step_violations<T: TransitionSystem>(
     // only when at least one of them can improve on the current best.
     let mut rendered: Option<(Vec<T::Action>, Vec<String>)> = None;
     for violation in violations {
-        if let Some(current) = best.get(&violation.property) {
-            if depth > current.depth {
-                continue;
-            }
+        if found.contains_key(&violation.property) {
+            continue;
         }
         let (actions, events) = rendered.get_or_insert_with(|| {
             arena.path(parent, path_buf);
@@ -625,7 +440,6 @@ fn record_step_violations<T: TransitionSystem>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::SearchMode;
     use crate::store::StoreKind;
     use crate::trace::LogLine;
     use crate::transition::testing::CounterModel;
@@ -649,7 +463,7 @@ mod tests {
             let par = ParallelChecker::new(config.clone()).verify(&model());
             let seq = sequential(&config);
             assert_eq!(par.violated_properties(), seq.violated_properties(), "{workers} workers");
-            // With exact storage the explored (state, depth) set is
+            // With exact storage every level's state set is
             // schedule-independent, so the counters agree exactly.
             assert_eq!(par.stats.states_stored, seq.stats.states_stored, "{workers} workers");
             assert_eq!(par.stats.transitions, seq.stats.transitions, "{workers} workers");
@@ -912,22 +726,11 @@ mod tests {
             }
         }
 
-        // Without the StopOnPanic guard this would deadlock (the surviving
-        // workers park forever); with it, the panic propagates promptly.
+        // The level barrier joins every worker, so the panic propagates to
+        // the caller instead of leaving the search half-finished.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             ParallelChecker::new(SearchConfig::with_depth(8).parallel(4)).verify(&ExplodingModel)
         }));
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn bfs_mode_config_is_accepted() {
-        // The parallel engine's order is neither DFS nor BFS; a BFS-mode
-        // config must still explore the full bounded space.
-        let mut config = SearchConfig::with_depth(6).parallel(3);
-        config.mode = SearchMode::Bfs;
-        let par = ParallelChecker::new(config.clone()).verify(&model());
-        let seq = sequential(&config);
-        assert_eq!(par.violated_properties(), seq.violated_properties());
     }
 }

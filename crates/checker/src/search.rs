@@ -8,6 +8,18 @@
 //! along any path.  Visited states are stored exactly, hash-compacted or in a
 //! BITSTATE bit array ([`crate::store`]).
 //!
+//! # Level order
+//!
+//! The search is breadth-first, one level (event count) at a time, over a
+//! plain visited set keyed by the model's encoding.  A state is admitted at
+//! the shallowest depth it is reachable at and expanded exactly once: any
+//! deeper path to it has less budget left, so its successors were already
+//! explored from the shallow copy.  This relies on the encoding being the
+//! whole state identity — a model whose behaviour depends on how many events
+//! happened (a clock the apps can read) must encode that count itself, as
+//! `iotsan-core`'s models do.  Counterexamples are therefore shortest: the
+//! first violation of a property is found at its minimum depth.
+//!
 //! # Allocation discipline
 //!
 //! The exploration loop performs no per-transition heap allocation in steady
@@ -30,7 +42,7 @@ use crate::trace::Trace;
 use crate::transition::{StepLog, TransitionSystem, Violation};
 use iotsan_telemetry::flight::{self, EventCode, Level};
 use iotsan_telemetry::METRICS;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -83,16 +95,6 @@ impl PartialEq for CancelToken {
     }
 }
 
-/// Search order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SearchMode {
-    /// Depth-first search (Spin's default); finds deep counterexamples fast.
-    #[default]
-    Dfs,
-    /// Breadth-first search; finds shortest counterexamples.
-    Bfs,
-}
-
 /// Configuration of one verification run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchConfig {
@@ -103,10 +105,6 @@ pub struct SearchConfig {
     pub max_states: usize,
     /// Hard cap on applied transitions.
     pub max_transitions: usize,
-    /// DFS or BFS.  Only honored by the sequential engine; the parallel
-    /// engine always explores in work-stealing depth-first order (see
-    /// [`crate::parallel::ParallelChecker`]).
-    pub mode: SearchMode,
     /// Visited-state storage strategy.
     pub store: StoreKind,
     /// Stop at the first violation instead of collecting one counterexample
@@ -116,8 +114,8 @@ pub struct SearchConfig {
     /// exceeded.
     pub time_limit: Option<Duration>,
     /// Number of search workers.  `0` or `1` selects the sequential engine;
-    /// larger values select [`crate::parallel::ParallelChecker`]'s shared
-    /// work-queue engine over a sharded visited-state store.
+    /// larger values select [`crate::parallel::ParallelChecker`]'s
+    /// level-synchronous engine over a sharded visited-state store.
     pub workers: usize,
     /// Number of shards of the concurrent visited-state store (rounded up to
     /// a power of two).  `0` picks a default proportional to `workers`.
@@ -141,7 +139,6 @@ impl Default for SearchConfig {
             max_depth: 3,
             max_states: 2_000_000,
             max_transitions: 20_000_000,
-            mode: SearchMode::Dfs,
             store: StoreKind::Exact,
             stop_at_first: false,
             time_limit: None,
@@ -293,11 +290,6 @@ impl SearchReport {
 /// Sentinel parent id of root frames (the initial state, empty path).
 pub(crate) const NO_PARENT: u32 = u32::MAX;
 
-/// High bit marking an arena parent id as a *prefix* reference (an owned
-/// action path imported from another worker's subtree — see
-/// [`TraceArena::add_prefix`]).
-const PREFIX_FLAG: u32 = 1 << 31;
-
 /// Parent-pointer counterexample bookkeeping.
 ///
 /// The search engines record one `(parent, action)` node per **admitted**
@@ -306,69 +298,43 @@ const PREFIX_FLAG: u32 = 1 << 31;
 /// the root, which only happens for the ≤1-per-property violations that are
 /// reported.
 ///
-/// The parallel engine keeps one arena per worker.  Frames that migrate
-/// between workers through the shared queue carry their action path as an
-/// owned prefix; the receiving worker registers it once
-/// ([`TraceArena::add_prefix`]) and roots the stolen subtree's nodes at it,
-/// so no worker ever dereferences another worker's (concurrently growing)
-/// arena and the deterministic merge is unchanged.
+/// The parallel engine keeps one arena for the whole search and appends a
+/// level's admitted states to it only between levels, so workers read it
+/// freely while they expand the next level.
 #[derive(Debug)]
 pub(crate) struct TraceArena<A> {
     nodes: Vec<(u32, A)>,
-    prefixes: Vec<Vec<A>>,
 }
 
 impl<A: Clone> TraceArena<A> {
     pub(crate) fn new() -> Self {
-        TraceArena { nodes: Vec::new(), prefixes: Vec::new() }
+        TraceArena { nodes: Vec::new() }
     }
 
     /// Records an admitted state's provenance; returns its node id.
     #[inline]
     pub(crate) fn push(&mut self, parent: u32, action: &A) -> u32 {
         let id = self.nodes.len() as u32;
-        assert!(id < PREFIX_FLAG, "trace arena overflow (>2^31 admitted states)");
+        assert!(id < NO_PARENT, "trace arena overflow (>2^32 admitted states)");
         self.nodes.push((parent, action.clone()));
         id
-    }
-
-    /// Registers an owned action prefix (a stolen frame's path) and returns
-    /// the parent id that roots nodes at it.
-    pub(crate) fn add_prefix(&mut self, path: Vec<A>) -> u32 {
-        if path.is_empty() {
-            return NO_PARENT;
-        }
-        let id = self.prefixes.len() as u32;
-        assert!(id < PREFIX_FLAG - 1, "trace arena prefix overflow");
-        self.prefixes.push(path);
-        PREFIX_FLAG | id
     }
 
     /// Reconstructs the root-to-`node` action path into `out` (cleared
     /// first).
     pub(crate) fn path(&self, mut node: u32, out: &mut Vec<A>) {
         out.clear();
-        let mut prefix = None;
         while node != NO_PARENT {
-            if node & PREFIX_FLAG != 0 {
-                prefix = Some((node & !PREFIX_FLAG) as usize);
-                break;
-            }
             let (parent, action) = &self.nodes[node as usize];
             out.push(action.clone());
             node = *parent;
         }
         out.reverse();
-        if let Some(index) = prefix {
-            out.splice(0..0, self.prefixes[index].iter().cloned());
-        }
     }
 
     /// Approximate heap footprint of the arena in bytes.
     pub(crate) fn memory_bytes(&self) -> usize {
         self.nodes.capacity() * std::mem::size_of::<(u32, A)>()
-            + self.prefixes.capacity() * std::mem::size_of::<Vec<A>>()
-            + self.prefixes.iter().map(|p| p.capacity() * std::mem::size_of::<A>()).sum::<usize>()
     }
 }
 
@@ -413,24 +379,16 @@ impl Checker {
     /// This is the sequential engine; [`SearchConfig::workers`] is ignored
     /// here (use [`crate::parallel::ParallelChecker`] for multi-core search —
     /// for an *exhaustive* run, i.e. no [`SearchConfig::stop_at_first`] and
-    /// no cap or time budget firing, the two report the same set of violated
-    /// properties for the same bounded model; an early-stopped search is
-    /// order-dependent in either engine).
+    /// no cap or time budget firing, the two report the same violated
+    /// properties, counterexample depths, state and transition counts for
+    /// the same bounded model; an early-stopped search is order-dependent in
+    /// either engine).
     pub fn verify<T: TransitionSystem>(&self, model: &T) -> SearchReport {
-        match self.config.mode {
-            SearchMode::Dfs => self.run::<T, false>(model),
-            SearchMode::Bfs => self.run::<T, true>(model),
-        }
-    }
-
-    /// The search loop; `BFS` selects queue (breadth-first) or stack
-    /// (depth-first) frontier order — everything else is identical.
-    fn run<T: TransitionSystem, const BFS: bool>(&self, model: &T) -> SearchReport {
         let start = Instant::now();
         let mut store = self.config.store.build();
         let mut report = SearchReport::default();
         let mut seen_properties: BTreeSet<u32> = BTreeSet::new();
-        // Per-search telemetry tallies, flushed once in `finish` — the hot
+        // Per-search telemetry tallies, flushed once at the end — the hot
         // loop never touches the global registry.
         let mut dedup_hits: usize = 0;
         let mut frontier_peak: usize = 1;
@@ -451,67 +409,64 @@ impl Checker {
         let mut arena: TraceArena<T::Action> = TraceArena::new();
 
         let initial = model.initial_state();
-        encode_buf.clear();
         model.encode(&initial, &mut encode_buf);
         store.insert(&encode_buf);
 
-        // The frontier: (state, depth, arena node).  A VecDeque serves both
-        // orders — DFS pops the back, BFS pops the front.
-        let mut frontier: VecDeque<(T::State, usize, u32)> = VecDeque::new();
-        frontier.push_back((initial, 0, NO_PARENT));
+        // The current level and the next one: (state, arena node) pairs.
+        let mut level: Vec<(T::State, u32)> = vec![(initial, NO_PARENT)];
+        let mut next: Vec<(T::State, u32)> = Vec::new();
 
-        'search: while let Some((state, depth, node)) =
-            if BFS { frontier.pop_front() } else { frontier.pop_back() }
-        {
-            if let Some(cap) = self.cap_hit(&report.stats, start, store.len()) {
-                report.stats.record_cap(cap);
-                break;
-            }
-            if depth >= self.config.max_depth {
-                continue;
-            }
-            model.actions(&state, &mut actions_buf);
-            for action in &actions_buf {
+        'search: for depth in 0..self.config.max_depth {
+            let next_depth = depth + 1;
+            // States at the bound are stored but never expanded, so the last
+            // level is not kept: it is usually the widest.
+            let keep = next_depth < self.config.max_depth;
+            for (state, node) in level.drain(..) {
                 if let Some(cap) = self.cap_hit(&report.stats, start, store.len()) {
                     report.stats.record_cap(cap);
                     break 'search;
                 }
-                let outcome = model.apply(&state, action, &mut scratch, &mut log);
-                report.stats.transitions = report.stats.transitions.saturating_add(1);
-                let next_depth = depth + 1;
-                report.stats.max_depth_reached = report.stats.max_depth_reached.max(next_depth);
-
-                if !outcome.violations.is_empty() {
-                    record_violations(
-                        model,
-                        &outcome.violations,
-                        &arena,
-                        node,
-                        action,
-                        next_depth,
-                        &mut seen_properties,
-                        &mut report,
-                        &mut path_buf,
-                    );
-                    if self.config.stop_at_first {
+                model.actions(&state, &mut actions_buf);
+                for action in &actions_buf {
+                    if let Some(cap) = self.cap_hit(&report.stats, start, store.len()) {
+                        report.stats.record_cap(cap);
                         break 'search;
                     }
-                }
+                    let outcome = model.apply(&state, action, &mut scratch, &mut log);
+                    report.stats.transitions = report.stats.transitions.saturating_add(1);
+                    report.stats.max_depth_reached = next_depth;
 
-                encode_buf.clear();
-                model.encode(&outcome.state, &mut encode_buf);
-                // Depth is part of the state identity: the same physical state
-                // reached with fewer events still has more exploration budget
-                // left, so it must be revisited.
-                encode_buf.push(depth_tag(next_depth));
-                if store.insert(&encode_buf) {
-                    let next_node = arena.push(node, action);
-                    frontier.push_back((outcome.state, next_depth, next_node));
-                    frontier_peak = frontier_peak.max(frontier.len());
-                } else {
-                    dedup_hits += 1;
+                    if !outcome.violations.is_empty() {
+                        record_violations(
+                            model,
+                            &outcome.violations,
+                            &arena,
+                            node,
+                            action,
+                            next_depth,
+                            &mut seen_properties,
+                            &mut report,
+                            &mut path_buf,
+                        );
+                        if self.config.stop_at_first {
+                            break 'search;
+                        }
+                    }
+
+                    encode_buf.clear();
+                    model.encode(&outcome.state, &mut encode_buf);
+                    if !store.insert(&encode_buf) {
+                        dedup_hits += 1;
+                    } else if keep {
+                        next.push((outcome.state, arena.push(node, action)));
+                    }
                 }
             }
+            if next.is_empty() {
+                break;
+            }
+            frontier_peak = frontier_peak.max(next.len());
+            std::mem::swap(&mut level, &mut next);
         }
 
         self.finish(&mut report, store.as_ref(), start, arena.memory_bytes());
@@ -641,13 +596,6 @@ pub(crate) fn flush_search_telemetry(
     }
 }
 
-/// The depth byte appended to encoded states (saturating: the checker's event
-/// bounds are far below 255, but a pathological configuration must not wrap
-/// and alias distinct depths).
-pub(crate) fn depth_tag(depth: usize) -> u8 {
-    depth.min(u8::MAX as usize) as u8
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -658,7 +606,7 @@ mod tests {
     }
 
     #[test]
-    fn dfs_finds_the_violation() {
+    fn finds_the_violation() {
         let checker = Checker::new(SearchConfig::with_depth(5));
         let report = checker.verify(&model());
         assert!(report.has_violations());
@@ -687,12 +635,23 @@ mod tests {
 
     #[test]
     fn bfs_finds_shortest_counterexample() {
-        let mut config = SearchConfig::with_depth(6);
-        config.mode = SearchMode::Bfs;
-        let report = Checker::new(config).verify(&model());
+        let report = Checker::new(SearchConfig::with_depth(6)).verify(&model());
         let found = report.violation_for(1).unwrap();
         // Shortest path to 6: 1→2→3→6 (double, increment, double) = 3 steps.
         assert_eq!(found.depth, 3);
+    }
+
+    #[test]
+    fn each_state_is_stored_once_at_its_shallowest_depth() {
+        // Levels from 1: {1}, {2}, {3, 4}, {5, 6, 8}.  The 4 reached again
+        // at depth 3 (3 + 1) is the depth-2 state already stored, so it is
+        // neither stored nor expanded a second time.
+        let report = Checker::new(SearchConfig::with_depth(3)).verify(&model());
+        assert_eq!(report.stats.states_stored, 7);
+        // Every stored state above the bound is expanded once: 1, 2, 3 and 4
+        // have two actions each.
+        assert_eq!(report.stats.transitions, 8);
+        assert_eq!(report.violation_for(1).unwrap().depth, 3);
     }
 
     #[test]
@@ -829,13 +788,6 @@ mod tests {
     }
 
     #[test]
-    fn depth_tag_saturates() {
-        assert_eq!(depth_tag(3), 3);
-        assert_eq!(depth_tag(255), 255);
-        assert_eq!(depth_tag(1000), 255);
-    }
-
-    #[test]
     fn stats_are_populated() {
         let report = Checker::new(SearchConfig::with_depth(4)).verify(&model());
         assert!(report.stats.transitions > 0);
@@ -861,18 +813,5 @@ mod tests {
         arena.path(NO_PARENT, &mut path);
         assert!(path.is_empty());
         assert!(arena.memory_bytes() > 0);
-    }
-
-    #[test]
-    fn arena_prefixes_root_stolen_subtrees() {
-        let mut arena: TraceArena<u8> = TraceArena::new();
-        let root = arena.add_prefix(vec![9, 8]);
-        let a = arena.push(root, &1);
-        let b = arena.push(a, &2);
-        let mut path = Vec::new();
-        arena.path(b, &mut path);
-        assert_eq!(path, vec![9, 8, 1, 2]);
-        // An empty prefix is the plain root.
-        assert_eq!(arena.add_prefix(Vec::new()), NO_PARENT);
     }
 }

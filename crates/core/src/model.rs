@@ -128,12 +128,20 @@ struct ModelCore {
     /// over a deduplicated atom table (see `iotsan-properties::compile`).
     compiled: CompiledPropertySet,
     options: ModelOptions,
+    /// True when some handler can read the modelled clock (see
+    /// [`iotsan_analysis::EffectSummary::observes_clock`]).  Modelled time
+    /// is a function of the external-event count, so the sequential design
+    /// then encodes that count as part of the state identity.
+    observes_clock: bool,
 }
 
 impl ModelCore {
     fn new(system: InstalledSystem, properties: PropertySet, options: ModelOptions) -> Self {
         let compiled = system.compile_properties(&properties);
-        ModelCore { system, properties, compiled, options }
+        let observes_clock = system.apps.iter().any(|app| {
+            iotsan_analysis::summarize_app(app).iter().any(|summary| summary.observes_clock())
+        });
+        ModelCore { system, properties, compiled, options, observes_clock }
     }
 
     /// The initial state, with one zeroed leads-to monitor slot per compiled
@@ -635,6 +643,9 @@ impl TransitionSystem for SequentialModel {
 
     fn encode(&self, state: &SystemState, out: &mut Vec<u8>) {
         state.encode_into(out);
+        if self.core.observes_clock {
+            out.extend_from_slice(&(state.external_events as u32).to_le_bytes());
+        }
     }
 
     fn display_action(&self, action: &ExternalAction) -> String {

@@ -278,22 +278,30 @@ impl Pipeline {
         apps: &[IrApp],
         config: SystemConfig,
     ) -> GroupResult {
+        let model = self.group_model(apps, config);
+        // ParallelChecker delegates to the sequential engine when the
+        // configured worker count is 0 or 1, so it is the single entry point.
+        let report = ParallelChecker::new(self.search.clone()).verify(&model);
+        GroupResult { apps: apps.iter().map(|a| a.name.clone()).collect(), report }
+    }
+
+    /// The sequential-design model [`Pipeline::verify_group`] explores for a
+    /// group under a configuration already restricted to its devices (such
+    /// as a planned [`crate::planner::GroupJob::config`]).
+    pub fn group_model(&self, apps: &[IrApp], config: SystemConfig) -> SequentialModel {
         let properties = self.properties_for(&config);
         // Property-directed slicing (opt-in): drop handlers the static
         // analysis proves unobservable by the registered properties.  Apps,
-        // devices and bindings are untouched, so the state encoding and the
-        // external-action alphabet are identical to the unsliced model.
+        // devices and bindings are untouched, so the external-action
+        // alphabet is identical to the unsliced model, and so is the state
+        // encoding unless only dropped handlers read the clock.
         let group_apps = if self.search.slice {
             iotsan_analysis::slice_plan(apps, &properties).apply(apps)
         } else {
             apps.to_vec()
         };
         let system = InstalledSystem::new(group_apps, config);
-        let model = SequentialModel::new(system, properties, self.model_options.clone());
-        // ParallelChecker delegates to the sequential engine when the
-        // configured worker count is 0 or 1, so it is the single entry point.
-        let report = ParallelChecker::new(self.search.clone()).verify(&model);
-        GroupResult { apps: apps.iter().map(|a| a.name.clone()).collect(), report }
+        SequentialModel::new(system, properties, self.model_options.clone())
     }
 
     /// A [`VerificationPlanner`] over this pipeline — the entry point for

@@ -121,7 +121,7 @@ impl Fnv {
 /// never matters), the device configuration the group is verified under, the
 /// property set, and the model/search options that can change the verdict
 /// ([`crate::model::ModelOptions`] plus the result-relevant
-/// [`SearchConfig`] fields — depth, caps, mode, store, stop-at-first).
+/// [`SearchConfig`] fields — depth, caps, store, stop-at-first).
 /// The wall-clock budget is always excluded (a budget-truncated report is
 /// never cached); worker/shard counts are excluded only when the search is
 /// deterministic across engine shapes — see [`Fingerprint`].
@@ -147,7 +147,6 @@ pub fn fingerprint_group(
         max_depth,
         max_states,
         max_transitions,
-        mode,
         store,
         stop_at_first,
         workers,
@@ -155,10 +154,7 @@ pub fn fingerprint_group(
         slice,
         ..
     } = &pipeline.search;
-    h.write_item(&format!(
-        "{:?}",
-        (max_depth, max_states, max_transitions, mode, store, stop_at_first)
-    ));
+    h.write_item(&format!("{:?}", (max_depth, max_states, max_transitions, store, stop_at_first)));
     // Sliced and unsliced runs explore the same verdicts but different state
     // counts; fold the analysis version and the concrete slice partition so
     // their cached reports never masquerade as each other, and so any change

@@ -458,7 +458,9 @@ pub struct SystemState {
     pub devices: Vec<DeviceState>,
     /// Current location mode.
     pub mode: LocationMode,
-    /// Modelled system time (not part of the state identity).
+    /// Modelled system time, a function of [`SystemState::external_events`]
+    /// (not encoded: the models encode the event count instead when the apps
+    /// can read the clock).
     pub time: SystemTime,
     /// Persistent app state variables in rendered form, indexed by the
     /// installation's slot table ([`InstalledSystem::state_slot`]); `None`
@@ -488,9 +490,10 @@ const ENC_SLOT_END: u8 = 0xff;
 const ENC_NO_DEVICE: u8 = 0xfc;
 
 impl SystemState {
-    /// Serializes the state-identity-relevant parts into `out` (device states,
-    /// mode, app variables and the pending-event queue; modelled time and the
-    /// external-event count are excluded so equivalent physical states merge).
+    /// Serializes the physical state into `out` (device states, mode, app
+    /// variables and the pending-event queue; modelled time and the
+    /// external-event count are excluded so equivalent physical states merge
+    /// — the models append the count where it is part of the identity).
     ///
     /// The layout is flat and fixed by the installation: device attribute
     /// indices, the mode byte, one marker-delimited value per app-state slot

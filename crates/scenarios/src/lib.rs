@@ -12,9 +12,10 @@
 //!    custom [`PropertySpec`]s whose atoms reference only devices actually
 //!    present.  Identical seeds produce byte-identical households.
 //! 2. **Differential oracle** ([`check_household`]): sequential, parallel,
-//!    sliced and warm-cache runs of the full pipeline must agree on every
-//!    household; small instances also spot-check the Promela emitter's LTL
-//!    derivation against the native checker's property set.
+//!    sliced and warm-cache runs of the full pipeline, and the naive
+//!    [`mod@reference`] explorer, must agree on every household; small instances
+//!    also spot-check the Promela emitter's LTL derivation against the
+//!    native checker's property set.
 //! 3. **Shrinking** ([`fn@shrink`]): failing seeds reduce deterministically to
 //!    minimal reproductions, serializable as committable JSON fixtures.
 //!
@@ -32,6 +33,7 @@ pub mod chaos;
 pub mod fixture;
 pub mod household;
 pub mod oracle;
+pub mod reference;
 pub mod rng;
 pub mod shrink;
 pub mod template;

@@ -1,10 +1,14 @@
-//! The differential oracle: four engine configurations, one verdict.
+//! The differential oracle: five engine configurations, one verdict.
 //!
 //! For each generated [`Household`] the oracle runs the full pipeline four
 //! ways — sequential, parallel workers, property-directed slicing, and a
-//! warm-cache rerun — and asserts they agree.  The equivalence each engine
+//! warm-cache rerun — plus the naive [`crate::reference`] explorer on every
+//! planned group, and asserts they agree.  The equivalence each engine
 //! advertises is checked exactly:
 //!
+//! * **reference == sequential**: identical violated sets per group.  The
+//!   reference stores `(encoding, depth)` pairs, the engines each state once
+//!   at its shallowest depth; agreement shows that shortcut loses nothing.
 //! * **parallel == sequential**: identical [`GroupOutcome`]s (violated sets,
 //!   state and transition counts) — the sharded parallel checker's
 //!   deterministic-merge guarantee.
@@ -20,6 +24,7 @@
 //! `ltl pN { ... }` block rendered from the same spec.
 
 use crate::household::Household;
+use crate::reference::explore;
 use iotsan::{FleetReport, GroupOutcome, Pipeline, VerificationCache};
 use iotsan_config::SystemConfig;
 use iotsan_telemetry::flight::{self, EventCode, Level};
@@ -31,6 +36,9 @@ use std::fmt;
 pub enum Phase {
     /// The generated Groovy failed to translate (a generator/frontend bug).
     Translate,
+    /// The naive reference explorer's violated sets differed from
+    /// sequential.
+    Reference,
     /// Parallel outcome differed from sequential.
     Parallel,
     /// Sliced violated sets differed from sequential (or grew the search).
@@ -45,6 +53,7 @@ impl fmt::Display for Phase {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
             Phase::Translate => "translate",
+            Phase::Reference => "reference",
             Phase::Parallel => "parallel",
             Phase::Sliced => "sliced",
             Phase::WarmCache => "warm-cache",
@@ -82,7 +91,8 @@ pub struct HouseholdReport {
     pub states: usize,
     /// Transitions applied by the sequential run.
     pub transitions: usize,
-    /// True when any of the four runs truncated (counts not compared).
+    /// True when any of the four runs truncated (counts not compared, and
+    /// the reference explorer skipped).
     pub truncated: bool,
     /// True when the Promela LTL spot-check ran for this household.
     pub promela_checked: bool,
@@ -116,7 +126,7 @@ fn outcome_detail(label: &str, a: &[GroupOutcome], b: &[GroupOutcome]) -> String
     format!("{label}: sequential {a:?} vs {b:?}")
 }
 
-/// Runs the four-way differential check on one household.
+/// Runs the five-way differential check on one household.
 ///
 /// Returns the aggregate report when every engine agreed, or the first
 /// [`Divergence`] found.  Deterministic: same household, same result.
@@ -145,6 +155,31 @@ pub fn check_household(household: &Household) -> Result<HouseholdReport, Diverge
     let seq = seq_pipeline.verify_fleet(&apps, config, &mut seq_cache);
     let seq_outcome = seq.outcome();
     let mut truncated = fleet_truncated(&seq);
+
+    // --- The naive reference explorer must find the same violations --------
+    // A truncated run's verdict is a lower bound, so there is nothing exact
+    // to compare against.
+    if !truncated {
+        let plan = seq_pipeline.planner().plan(&apps, config);
+        let mut reference: Vec<(Vec<String>, BTreeSet<u32>)> = plan
+            .jobs
+            .iter()
+            .map(|job| {
+                let model = seq_pipeline.group_model(&job.members, job.config.clone());
+                let report = explore(&model, seq_pipeline.search.max_depth);
+                (job.apps.clone(), report.violated)
+            })
+            .collect();
+        reference.sort();
+        let engine: Vec<(Vec<String>, BTreeSet<u32>)> =
+            seq_outcome.iter().map(|g| (g.apps.clone(), g.violated_properties.clone())).collect();
+        if reference != engine {
+            return Err(diverge(
+                Phase::Reference,
+                format!("reference verdicts {reference:?} vs sequential {engine:?}"),
+            ));
+        }
+    }
 
     // --- Parallel workers must reproduce it exactly ------------------------
     let par_pipeline = pipeline_for(household, PARALLEL_WORKERS, false);

@@ -1,8 +1,11 @@
 //! Equivalence suite for the parallel search engine: for the same bounded
 //! model, [`ParallelChecker`] must report exactly the set of violated
 //! properties the sequential [`Checker`] reports — and, with exact storage,
-//! the same state and transition counts, since depth-tagged state identity
-//! makes the explored frontier schedule-independent.
+//! the same state and transition counts, since every level of the
+//! level-order search holds a schedule-independent set of states.  Both
+//! engines are also held to the naive reference explorer of
+//! `iotsan-scenarios`, which stores `(encoding, depth)` pairs instead of
+//! each state once.
 
 use iotsan::checker::{Checker, ParallelChecker, SearchConfig, SearchReport};
 use iotsan::config::{expert_configure, standard_household};
@@ -11,6 +14,7 @@ use iotsan::properties::PropertySet;
 use iotsan::system::InstalledSystem;
 use iotsan::translate_sources;
 use iotsan_apps::{market, samples};
+use iotsan_scenarios::reference;
 use proptest::prelude::*;
 
 /// Builds the sequential-design model for a set of corpus apps under the
@@ -62,6 +66,9 @@ proptest! {
         prop_assert_eq!(seq.violated_properties(), par.violated_properties());
         prop_assert_eq!(seq.stats.states_stored, par.stats.states_stored);
         prop_assert_eq!(seq.stats.transitions, par.stats.transitions);
+        let naive = reference::explore(&model, depth);
+        prop_assert_eq!(&naive.violated, &seq.violated_properties());
+        prop_assert!(seq.stats.states_stored <= naive.states);
     }
 }
 
@@ -73,10 +80,17 @@ fn depth_four_equivalence_on_fixed_groups() {
         let sources: Vec<&str> = group.iter().map(|a| a.source.as_str()).collect();
         let model = model_for(&sources, 4).expect("corpus apps translate");
         let seq = Checker::new(SearchConfig::with_depth(4)).verify(&model);
+        let naive = reference::explore(&model, 4);
+        assert_eq!(naive.violated, seq.violated_properties(), "reference verdicts");
+        let depths = |report: &SearchReport| {
+            report.violations.iter().map(|v| (v.violation.property, v.depth)).collect::<Vec<_>>()
+        };
         for workers in [2usize, 4, 8] {
             let par =
                 ParallelChecker::new(SearchConfig::with_depth(4).parallel(workers)).verify(&model);
             assert_equivalent(&seq, &par, &format!("{workers} workers, depth 4"));
+            // Both engines report shortest counterexamples.
+            assert_eq!(depths(&seq), depths(&par), "{workers} workers, depth 4");
         }
     }
 }
