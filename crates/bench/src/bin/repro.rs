@@ -313,10 +313,12 @@ fn properties_experiment(json: &mut BenchJson) {
     json.push_experiment("properties", "market8+failures", events, &rows);
 
     // ---- property_eval micro-benchmark: one compiled pass in isolation ----
+    // The pass reads the state vector, exactly as the model does per
+    // transition, so the row is the whole property cost of a transition.
     let pipeline = Pipeline::with_events(events);
     let restricted = pipeline.restrict_config(&apps, &config);
     let system = InstalledSystem::new(apps.clone(), restricted);
-    let snapshot = system.snapshot(&system.initial_state());
+    let state = system.initial_state();
     let observation = iotsan::properties::StepObservation::default();
     let mut eval_rows = Vec::new();
     println!("\nproperty_eval micro-benchmark (one compiled pass per transition):");
@@ -333,7 +335,8 @@ fn properties_experiment(json: &mut BenchJson) {
         for _ in 0..iters {
             out.clear();
             compiled.check_transition(
-                &snapshot,
+                &state.devices,
+                state.mode,
                 &observation,
                 &mut monitors,
                 &mut scratch,

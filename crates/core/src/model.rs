@@ -18,9 +18,11 @@
 //! interned [`Sym`]s, never owned strings — because the checker clones one
 //! into its counterexample arena for every admitted state.  `apply` threads a
 //! reusable [`ModelScratch`] (observation buffers, the cascade queue, the
-//! snapshot the property checker reads) and a deferred
-//! [`StepLog`], so a steady-state transition on a non-violating
-//! path performs no heap allocation beyond constructing its successor state.
+//! property evaluator's slot vector) and a deferred [`StepLog`], so a
+//! steady-state transition on a non-violating path performs no heap
+//! allocation beyond constructing its successor state.  The compiled
+//! properties read the successor's device states and mode directly: no
+//! physical-state snapshot is rendered per transition.
 //! Log lines and action strings are rendered only for materialized
 //! counterexamples ([`TransitionSystem::display_action`] /
 //! [`TransitionSystem::render_event`]).
@@ -32,7 +34,7 @@ use iotsan_checker::{LogLine, StepLog, StepOutcome, TransitionSystem, Violation}
 use iotsan_devices::{DeviceId, FailureMode, FailurePolicy};
 use iotsan_ir::{Sym, Trigger, Value};
 use iotsan_properties::{
-    CompiledPropertySet, EvalScratch, PropertyId, PropertySet, Snapshot, StepObservation,
+    CompiledPropertySet, EvalScratch, PropertyId, PropertySet, StepObservation,
 };
 
 /// Options controlling model construction.
@@ -106,13 +108,12 @@ pub enum ExternalAction {
 
 /// Reusable per-worker scratch for [`SequentialModel::apply`] /
 /// [`ConcurrentModel::apply`]: step observation buffers, the cascade queue
-/// and the physical-state snapshot the property checker reads.  All of it is
-/// cleared (never reallocated) per transition.
+/// and the compiled property evaluator's buffers.  All of it is cleared
+/// (never reallocated) per transition.
 #[derive(Debug, Default)]
 pub struct ModelScratch {
     observation: StepObservation,
     queue: Vec<InternalEvent>,
-    snapshot: Snapshot,
     eval: EvalScratch,
     violated: Vec<PropertyId>,
 }
@@ -124,7 +125,8 @@ struct ModelCore {
     /// The registry (names, classes — counterexample metadata).
     properties: PropertySet,
     /// The registry compiled against `system` at model-construction time:
-    /// selectors resolved to snapshot slots, formulas flattened to programs
+    /// selectors resolved to state-vector slots and domain-index masks,
+    /// formulas flattened to programs
     /// over a deduplicated atom table (see `iotsan-properties::compile`).
     compiled: CompiledPropertySet,
     options: ModelOptions,
@@ -482,13 +484,19 @@ impl ModelCore {
         )
     }
 
-    /// Evaluates all compiled properties after a step, refreshing the
-    /// scratch snapshot in place and updating the state's leads-to monitors.
+    /// Evaluates all compiled properties after a step on the state vector
+    /// itself, updating the state's leads-to monitors.
     fn check(&self, state: &mut SystemState, scratch: &mut ModelScratch) -> Vec<Violation> {
-        let ModelScratch { observation, snapshot, eval, violated, .. } = scratch;
-        self.system.snapshot_into(state, snapshot);
+        let ModelScratch { observation, eval, violated, .. } = scratch;
         violated.clear();
-        self.compiled.check_transition(snapshot, observation, &mut state.monitors, eval, violated);
+        self.compiled.check_transition(
+            &state.devices,
+            state.mode,
+            observation,
+            &mut state.monitors,
+            eval,
+            violated,
+        );
         self.to_violations(violated)
     }
 
@@ -787,6 +795,7 @@ mod tests {
     use iotsan_config::{AppConfig, Binding, DeviceConfig, SystemConfig};
     use iotsan_groovy::SmartApp;
     use iotsan_ir::lower_app;
+    use iotsan_properties::{Expr, PropertySpec};
 
     /// Auto Mode Change + Unlock Door — the running example of the paper
     /// (Figure 7): leaving home switches the mode to Away, which unlocks the
@@ -960,6 +969,111 @@ def changedLocationMode(evt) { lock1.unlock() }
             ExternalAction::SensorEvent { .. } => !model.display_action(a).contains("=present "),
             _ => true,
         }));
+    }
+
+    /// Every transition of `model`, breadth-first over distinct states:
+    /// the compiled violated ids (and, for the one bounded leads-to
+    /// property `leads`, its monitor countdown) must equal the interpreted
+    /// reference on a snapshot built from scratch.  Returns (states,
+    /// transitions, leads-to violations).
+    fn differential_walk(
+        model: &SequentialModel,
+        set: &PropertySet,
+        leads: Option<(u32, &iotsan_properties::LeadsTo)>,
+    ) -> (usize, usize, usize) {
+        let system = model.system();
+        let mut scratch = ModelScratch::default();
+        let mut log = StepLog::disabled();
+        let mut actions = Vec::new();
+        let mut buf = Vec::new();
+        let mut visited = std::collections::HashSet::new();
+        let initial = model.initial_state();
+        model.encode(&initial, &mut buf);
+        visited.insert(buf.clone());
+        let (mut level, mut next) = (vec![initial], Vec::new());
+        let (mut transitions, mut leads_violations) = (0, 0);
+        while !level.is_empty() {
+            for state in level.drain(..) {
+                model.actions(&state, &mut actions);
+                for action in &actions {
+                    let outcome = model.apply(&state, action, &mut scratch, &mut log);
+                    transitions += 1;
+                    let got: Vec<u32> = outcome.violations.iter().map(|v| v.property).collect();
+
+                    let snapshot = system.snapshot(&outcome.state);
+                    let step = &scratch.observation;
+                    let mut want: Vec<u32> =
+                        set.check_point(&snapshot, step).into_iter().map(|id| id.0).collect();
+                    if let Some((id, leads)) = leads {
+                        // check_point reads leads-to with same-step response;
+                        // the bounded countdown is re-derived here.
+                        want.retain(|&w| w != id);
+                        let mut slot = state.monitors[0];
+                        if leads.response.eval(&snapshot, step) {
+                            slot = 0;
+                        } else {
+                            if slot > 0 {
+                                slot -= 1;
+                                if slot == 0 {
+                                    want.push(id);
+                                    leads_violations += 1;
+                                }
+                            }
+                            if slot == 0 && leads.trigger.eval(&snapshot, step) {
+                                slot = leads.within as u8;
+                            }
+                        }
+                        assert_eq!(outcome.state.monitors, vec![slot], "monitor after {action:?}");
+                    }
+                    want.sort_unstable();
+                    want.dedup();
+                    assert_eq!(got, want, "violations after {action:?}");
+
+                    buf.clear();
+                    model.encode(&outcome.state, &mut buf);
+                    if visited.insert(buf.clone()) {
+                        next.push(outcome.state);
+                    }
+                }
+            }
+            std::mem::swap(&mut level, &mut next);
+        }
+        (visited.len(), transitions, leads_violations)
+    }
+
+    #[test]
+    fn compiled_properties_match_the_interpreted_reference_on_every_transition() {
+        let (apps, config) = iotsan_bench::scaling_workload();
+        let system = InstalledSystem::new(
+            apps.clone(),
+            crate::Pipeline::default().restrict_config(&apps, &config),
+        );
+        let options = ModelOptions::with_events(3).with_failures();
+
+        let builtins = PropertySet::all();
+        let model = SequentialModel::new(system.clone(), builtins.clone(), options.clone());
+        assert_eq!(differential_walk(&model, &builtins, None), (2008, 13905, 0));
+
+        // The custom specs plus one bounded response, so the leads-to
+        // monitor countdown is part of the state and compared too.
+        let leads = iotsan_properties::LeadsTo {
+            trigger: Expr::not(Expr::anyone_home()),
+            response: Expr::capability_attr("lock", "lock", "locked"),
+            within: 2,
+        };
+        let extended = iotsan_bench::extended_property_set().with(
+            PropertySpec::builder(60, "Locks follow a departure within 2 events").leads_to(
+                leads.trigger.clone(),
+                leads.response.clone(),
+                leads.within,
+            ),
+        );
+        let model = SequentialModel::new(system, extended.clone(), options);
+        assert_eq!(model.compiled_properties().monitor_count(), 1);
+        let (states, transitions, leads_violations) =
+            differential_walk(&model, &extended, Some((60, &leads)));
+        assert!(states > 2008 && transitions > 13905);
+        assert!(leads_violations > 0, "the bounded response never expired");
     }
 
     #[test]

@@ -78,8 +78,7 @@ pub struct InstalledSystem {
     /// expression, so it must be a borrow, not a fresh `Vec`.
     input_bindings: Vec<HashMap<String, Vec<DeviceId>>>,
     /// Per-device configured roles, parsed once at installation (role parsing
-    /// lowercases strings; doing it per snapshot refresh would allocate on
-    /// the hot loop).
+    /// lowercases strings).
     device_roles: Vec<DeviceRole>,
 }
 
@@ -339,8 +338,9 @@ impl InstalledSystem {
     }
 
     /// The layout the property compiler resolves specs against: one
-    /// [`TargetDevice`] per installed device, in [`DeviceId`] order, with the
-    /// exact attribute layout [`InstalledSystem::snapshot_into`] writes.
+    /// [`TargetDevice`] per installed device, in [`DeviceId`] order, with each
+    /// attribute's name and value domain in [`DeviceState`] index order —
+    /// the compiled properties read [`SystemState::devices`] directly.
     pub fn compile_target(&self) -> CompileTarget {
         CompileTarget::new(
             self.devices
@@ -353,7 +353,11 @@ impl InstalledSystem {
                         label: device.label.clone(),
                         capability: spec.capability.to_string(),
                         role: *role,
-                        attributes: spec.attributes.iter().map(|a| a.name.to_string()).collect(),
+                        attributes: spec
+                            .attributes
+                            .iter()
+                            .map(|a| (a.name.to_string(), a.domain.clone()))
+                            .collect(),
                     }
                 })
                 .collect(),
@@ -366,57 +370,17 @@ impl InstalledSystem {
         CompiledPropertySet::compile(properties, &self.compile_target())
     }
 
-    /// Builds the physical-state [`Snapshot`] the property checker consumes.
+    /// Builds the physical-state [`Snapshot`] the interpreted reference
+    /// evaluator ([`PropertySet::check_point`]) reads: every attribute
+    /// rendered by [`DeviceState::value_at`].  The model checker never
+    /// builds one — its compiled properties evaluate the state vector.
     pub fn snapshot(&self, state: &SystemState) -> Snapshot {
-        let mut snap = Snapshot::default();
-        self.snapshot_into(state, &mut snap);
-        snap
-    }
-
-    /// Refreshes `snap` to reflect `state`, reusing every allocation: labels,
-    /// capabilities, roles and attribute-name strings are written once (on
-    /// first use of the buffer) and only the attribute *values*, online
-    /// flags, mode and time are updated per call.  This is the per-transition
-    /// property-check path.
-    pub fn snapshot_into(&self, state: &SystemState, snap: &mut Snapshot) {
-        // The template is rebuilt whenever the buffer does not belong to
-        // *this* system — matching device count alone is not enough, since a
-        // buffer reused across systems with equally many (but different)
-        // devices would keep stale labels/capabilities/roles.  The label
-        // comparison is a handful of short equal-string memcmps per call.
-        let matches_system = snap.devices.len() == self.devices.len()
-            && snap.devices.iter().zip(&self.devices).zip(&self.device_roles).all(
-                |((s, d), role)| {
-                    // Compare against what the template actually stores: the
-                    // *spec* capability (a raw config capability may fall back
-                    // to the `switch` spec) and the parsed configured role.
-                    s.label == d.label && s.capability == d.spec().capability && s.role == *role
-                },
-            );
-        if !matches_system {
-            *snap = self.snapshot_template();
-        }
-        snap.mode.clear();
-        snap.mode.push_str(state.mode.name());
-        snap.time_seconds = state.time.seconds();
-        for ((device, dstate), dsnap) in
-            self.devices.iter().zip(&state.devices).zip(&mut snap.devices)
-        {
-            let spec = device.spec();
-            dsnap.online = dstate.is_online();
-            for (index, (_, value)) in dsnap.attributes.iter_mut().enumerate() {
-                dstate.value_at_into(spec, index, value);
-            }
-        }
-    }
-
-    /// The constant parts of a snapshot (everything but values/online/mode).
-    fn snapshot_template(&self) -> Snapshot {
         let devices = self
             .devices
             .iter()
             .zip(&self.device_roles)
-            .map(|(device, role)| {
+            .zip(&state.devices)
+            .map(|((device, role), dstate)| {
                 let spec = device.spec();
                 DeviceSnapshot {
                     id: device.id,
@@ -426,13 +390,18 @@ impl InstalledSystem {
                     attributes: spec
                         .attributes
                         .iter()
-                        .map(|attr| (attr.name.to_string(), Value::Null))
+                        .enumerate()
+                        .map(|(index, attr)| (attr.name.to_string(), dstate.value_at(spec, index)))
                         .collect(),
-                    online: true,
+                    online: dstate.is_online(),
                 }
             })
             .collect();
-        Snapshot { mode: String::new(), devices, time_seconds: 0 }
+        Snapshot {
+            mode: state.mode.name().to_string(),
+            devices,
+            time_seconds: state.time.seconds(),
+        }
     }
 
     /// Renders an [`InternalEvent`] (for the concurrent design's dispatch
@@ -611,24 +580,29 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_into_reuses_buffers_and_tracks_state() {
+    fn snapshot_tracks_state_changes() {
         let sys = system();
         let mut state = sys.initial_state();
-        let mut snap = Snapshot::default();
-        sys.snapshot_into(&state, &mut snap);
-        let lock = snap.devices.iter().find(|d| d.capability == "lock").unwrap();
-        assert!(lock.attr_is("lock", "locked"));
-
-        // Mutate the device state and refresh the same buffer.
         let spec = sys.device(DeviceId(0)).spec();
         state.devices[0].set(spec, "lock", &Value::Str("unlocked".into()));
+        state.devices[1].set_online(false);
         state.mode = LocationMode::Away;
-        sys.snapshot_into(&state, &mut snap);
+        let snap = sys.snapshot(&state);
         assert_eq!(snap.mode, "Away");
         let lock = snap.devices.iter().find(|d| d.capability == "lock").unwrap();
         assert!(lock.attr_is("lock", "unlocked"));
-        // The refreshed snapshot equals a freshly built one.
-        assert_eq!(snap, sys.snapshot(&state));
+        assert!(lock.online);
+        let presence = snap.devices.iter().find(|d| d.capability == "presenceSensor").unwrap();
+        assert!(!presence.online);
+        assert!(presence.attr_is("presence", "present"));
+        // The snapshot lays attributes out exactly as the compile target
+        // (and therefore the compiled properties) index them.
+        let target = sys.compile_target();
+        for (t, d) in target.devices.iter().zip(&snap.devices) {
+            let names: Vec<&str> = d.attributes.iter().map(|(n, _)| n.as_str()).collect();
+            let target_names: Vec<&str> = t.attributes.iter().map(|(n, _)| n.as_str()).collect();
+            assert_eq!(names, target_names);
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! and which attribute changes can be generated spontaneously by the physical
 //! environment (sensor events).
 
+use iotsan_ir::Value;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
@@ -54,6 +55,22 @@ impl AttrDomain {
         match self {
             AttrDomain::Enum(names) => names.get(index).map(|s| s.to_string()),
             AttrDomain::Numeric(values) => values.get(index).map(|v| v.to_string()),
+        }
+    }
+
+    /// The value at `index` as the apps and properties see it: an enum name
+    /// is a [`Value::Str`], a numeric level a [`Value::Int`], an index
+    /// outside the domain [`Value::Null`].  This is the one rendering rule:
+    /// device state reads, physical-state snapshots and the property
+    /// compiler's domain masks all go through it.
+    pub fn value(&self, index: usize) -> Value {
+        match self {
+            AttrDomain::Enum(names) => {
+                names.get(index).map(|s| Value::Str((*s).to_string())).unwrap_or(Value::Null)
+            }
+            AttrDomain::Numeric(values) => {
+                values.get(index).map(|v| Value::Int(*v)).unwrap_or(Value::Null)
+            }
         }
     }
 
@@ -617,6 +634,23 @@ mod tests {
     #[test]
     fn registry_has_at_least_thirty_device_types() {
         assert!(registry().len() >= 30, "paper supports 30 device types, got {}", registry().len());
+    }
+
+    #[test]
+    fn every_domain_fits_a_property_mask() {
+        // The property compiler packs each attribute domain into one `u64`
+        // bit mask (bit i = domain index i), so no domain may exceed 64.
+        for spec in registry().specs() {
+            for attr in &spec.attributes {
+                assert!(
+                    attr.domain.len() <= 64,
+                    "{}.{} has {} domain values",
+                    spec.capability,
+                    attr.name,
+                    attr.domain.len()
+                );
+            }
+        }
     }
 
     #[test]

@@ -124,44 +124,18 @@ impl DeviceState {
 
     /// The current value of `attribute` as an [`Value`].
     pub fn get(&self, spec: &DeviceSpec, attribute: &str) -> Value {
-        let Some(idx) = spec.attribute_index(attribute) else { return Value::Null };
-        let attr = &spec.attributes[idx];
-        let value_index = self.values[idx] as usize;
-        match &attr.domain {
-            AttrDomain::Enum(names) => {
-                names.get(value_index).map(|s| Value::Str(s.to_string())).unwrap_or(Value::Null)
-            }
-            AttrDomain::Numeric(values) => {
-                values.get(value_index).map(|v| Value::Int(*v)).unwrap_or(Value::Null)
-            }
+        match spec.attribute_index(attribute) {
+            Some(idx) => self.value_at(spec, idx),
+            None => Value::Null,
         }
     }
 
-    /// Writes the current value of the attribute at position `index` into
-    /// `out`, reusing `out`'s string allocation when possible.  This is the
-    /// snapshot-refresh path: the model generator rebuilds a physical-state
-    /// snapshot on every explored transition, and cloning a fresh `String`
-    /// per attribute there dominated the property-check cost.
-    pub fn value_at_into(&self, spec: &DeviceSpec, index: usize, out: &mut Value) {
-        let Some(attr) = spec.attributes.get(index) else {
-            *out = Value::Null;
-            return;
-        };
-        let value_index = self.values[index] as usize;
-        match &attr.domain {
-            AttrDomain::Enum(names) => match names.get(value_index) {
-                Some(name) => match out {
-                    Value::Str(s) => {
-                        s.clear();
-                        s.push_str(name);
-                    }
-                    _ => *out = Value::Str((*name).to_string()),
-                },
-                None => *out = Value::Null,
-            },
-            AttrDomain::Numeric(values) => {
-                *out = values.get(value_index).map(|v| Value::Int(*v)).unwrap_or(Value::Null);
-            }
+    /// The current value of the attribute at position `index`, rendered by
+    /// [`AttrDomain::value`] (`Null` for a position the spec lacks).
+    pub fn value_at(&self, spec: &DeviceSpec, index: usize) -> Value {
+        match spec.attributes.get(index) {
+            Some(attr) => attr.domain.value(self.values[index] as usize),
+            None => Value::Null,
         }
     }
 

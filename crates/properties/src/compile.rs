@@ -20,14 +20,48 @@
 //! obligations are tracked in caller-owned per-property monitor counters that
 //! are part of the model-checker state identity.
 
+//! Compilation of [`PropertySpec`](crate::PropertySpec)s into slot-indexed, zero-allocation
+//! evaluators over the model checker's state vector.
+//!
+//! The checker evaluates every property once per explored transition, so the
+//! interpreted [`crate::Expr::eval`] walk (selector matching, attribute-name
+//! lookups, string values re-parsed as numbers) is far too slow for the hot
+//! path.  At install time the [`CompiledPropertySet`] resolves everything
+//! that is fixed by the installed system against a [`CompileTarget`]:
+//!
+//! * device selectors become lists of `(device index, attribute index)`
+//!   *slots* into the state vector — no capability/role/attribute string
+//!   matching remains at evaluation time;
+//! * every state predicate becomes a *domain-index mask* per slot.  Attribute
+//!   domains are finite and fixed at install, so the compiler applies the
+//!   atom's own predicate (`eq_str`, `as_number` against a threshold, a
+//!   case-insensitive mode-name match) to the rendered value of each domain
+//!   index ([`AttrDomain::value`], the rule snapshots render with too) and
+//!   sets bit `i` where it holds.  Evaluation is then `mask >> index & 1` on
+//!   the raw [`DeviceState`] index — no [`crate::Snapshot`] is built, no
+//!   string is rendered or parsed;
+//! * existence tests ([`crate::Atom::HasDevice`]) fold to constants;
+//! * formulas become flat postfix programs over a shared, deduplicated atom
+//!   table: each distinct atom is evaluated once per transition into a slot
+//!   vector, then every property's program runs pure boolean ops.
+//!
+//! Evaluation reuses an [`EvalScratch`] (slot vector + program stack), so a
+//! steady-state transition check performs no heap allocation.  Leads-to
+//! obligations are tracked in caller-owned per-property monitor counters that
+//! are part of the model-checker state identity.  The interpreted
+//! [`PropertySet::check_point`] over a snapshot stays the reference
+//! semantics the compiled evaluator is tested against.
+
 use crate::registry::PropertySet;
 use crate::snapshot::{
-    has_conflicting_commands, has_repeated_commands, DeviceRole, Snapshot, StepObservation,
+    has_conflicting_commands, has_repeated_commands, DeviceRole, StepObservation,
 };
 use crate::spec::{Atom, DeviceSelect, Expr, Modality, PropertyId};
+use iotsan_devices::{AttrDomain, DeviceState, LocationMode};
+use iotsan_ir::Value;
 
 /// One installed device, as the compiler sees it: identity for selector
-/// matching plus the attribute layout of its snapshot entry.
+/// matching plus the attribute layout of its state-vector entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TargetDevice {
     /// The raw device id (`DeviceId.0`), used to match step command records.
@@ -38,17 +72,18 @@ pub struct TargetDevice {
     pub capability: String,
     /// User-assigned role.
     pub role: DeviceRole,
-    /// Attribute names, in the exact order they appear in the device's
-    /// snapshot entry (slot positions are resolved against this).
-    pub attributes: Vec<String>,
+    /// Attribute names and value domains, in the exact order of the device's
+    /// [`DeviceState`] indices (slot positions and masks are resolved
+    /// against this).
+    pub attributes: Vec<(String, AttrDomain)>,
 }
 
 /// The installed-system layout properties are compiled against.  Device
-/// positions must match the position of each device in the snapshots later
-/// passed to [`CompiledPropertySet::check_transition`].
+/// positions must match the position of each device in the state vectors
+/// later passed to [`CompiledPropertySet::check_transition`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CompileTarget {
-    /// The installed devices, in snapshot order.
+    /// The installed devices, in state-vector order.
     pub devices: Vec<TargetDevice>,
 }
 
@@ -58,36 +93,34 @@ impl CompileTarget {
         CompileTarget { devices }
     }
 
-    /// Derives the target from a snapshot's layout (tests and standalone
-    /// checking; installed systems build their target once from the device
-    /// table).
-    pub fn from_snapshot(snapshot: &Snapshot) -> Self {
-        CompileTarget {
-            devices: snapshot
-                .devices
-                .iter()
-                .map(|d| TargetDevice {
-                    id: d.id.0,
-                    label: d.label.clone(),
-                    capability: d.capability.clone(),
-                    role: d.role,
-                    attributes: d.attributes.iter().map(|(n, _)| n.clone()).collect(),
-                })
-                .collect(),
-        }
-    }
-
-    /// `(device position, attribute position)` slots for every selected
-    /// device that has the attribute.
-    fn attr_slots(&self, select: &DeviceSelect, attribute: &str) -> Vec<(u16, u8)> {
+    /// A mask slot for every selected device that has the attribute, with
+    /// bit `i` set where `holds` accepts the attribute's domain value `i`.
+    fn attr_slots(
+        &self,
+        select: &DeviceSelect,
+        attribute: &str,
+        holds: impl Fn(&Value) -> bool,
+    ) -> Vec<Slot> {
         let mut out = Vec::new();
         for (di, device) in self.devices.iter().enumerate() {
             if !select.matches(&device.label, &device.capability, device.role) {
                 continue;
             }
-            if let Some(ai) = device.attributes.iter().position(|a| a == attribute) {
-                out.push((di as u16, ai as u8));
-            }
+            let Some(ai) = device.attributes.iter().position(|(name, _)| name == attribute) else {
+                continue;
+            };
+            let domain = &device.attributes[ai].1;
+            assert!(
+                domain.len() <= u64::BITS as usize,
+                "{}.{attribute} has {} domain values but a property mask holds {}",
+                device.label,
+                domain.len(),
+                u64::BITS
+            );
+            let mask = (0..domain.len())
+                .filter(|&i| holds(&domain.value(i)))
+                .fold(0u64, |mask, i| mask | 1 << i);
+            out.push(Slot { device: di as u16, attr: ai as u8, mask });
         }
         out
     }
@@ -112,37 +145,54 @@ impl CompileTarget {
     }
 }
 
-/// A compiled atom: every name resolved to slots, selectors gone.
+/// The location modes whose canonical name satisfies `holds`, as a mask
+/// over `LocationMode as u32`.
+fn mode_mask(holds: impl Fn(&str) -> bool) -> u8 {
+    LocationMode::ALL.iter().filter(|m| holds(m.name())).fold(0u8, |mask, &m| mask | 1 << m as u32)
+}
+
+/// One `(device, attribute)` position of a state atom plus the domain
+/// indices at which the atom's predicate holds there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Slot {
+    device: u16,
+    attr: u8,
+    mask: u64,
+}
+
+impl Slot {
+    #[inline]
+    fn holds(self, devices: &[DeviceState]) -> bool {
+        devices[self.device as usize]
+            .raw(self.attr as usize)
+            .and_then(|index| self.mask.checked_shr(u32::from(index)))
+            .is_some_and(|bits| bits & 1 != 0)
+    }
+}
+
+/// Some slot holds (false for an empty selection).
+fn any_in(slots: Vec<Slot>) -> CAtom {
+    if slots.is_empty() {
+        CAtom::Const(false)
+    } else {
+        CAtom::AnyIn(slots)
+    }
+}
+
+/// A compiled atom: every name resolved to slots, every state predicate to
+/// domain-index masks, selectors gone.
 #[derive(Debug, Clone, PartialEq)]
 enum CAtom {
     /// Constant folded at compile time (existence tests, empty selections).
     Const(bool),
-    /// The location mode equals the name (case-insensitive).
-    ModeIs(String),
-    /// Some slot's value loosely equals the string.
-    AnyAttrEq {
-        slots: Vec<(u16, u8)>,
-        value: String,
-    },
-    /// Every slot's value loosely equals the string (vacuously true).
-    AllAttrEq {
-        slots: Vec<(u16, u8)>,
-        value: String,
-    },
+    /// The location mode's bit (`LocationMode as u32`) is set in the mask.
+    ModeIn(u8),
+    /// Some slot holds.
+    AnyIn(Vec<Slot>),
+    /// Every slot holds (never empty: that folds to a constant).
+    AllIn(Vec<Slot>),
     /// Some listed device is offline.
-    AnyOffline {
-        devices: Vec<u16>,
-    },
-    /// Some slot reads a number below the threshold.
-    AnyBelow {
-        slots: Vec<(u16, u8)>,
-        threshold: f64,
-    },
-    /// Some slot reads a number above the threshold.
-    AnyAbove {
-        slots: Vec<(u16, u8)>,
-        threshold: f64,
-    },
+    AnyOffline(Vec<u16>),
     /// Step detectors (see [`crate::snapshot`]).
     Conflicting,
     Repeated,
@@ -162,46 +212,18 @@ enum CAtom {
 
 impl CAtom {
     fn reads_state(&self) -> bool {
-        matches!(
-            self,
-            CAtom::ModeIs(_)
-                | CAtom::AnyAttrEq { .. }
-                | CAtom::AllAttrEq { .. }
-                | CAtom::AnyOffline { .. }
-                | CAtom::AnyBelow { .. }
-                | CAtom::AnyAbove { .. }
-        )
+        matches!(self, CAtom::ModeIn(_) | CAtom::AnyIn(_) | CAtom::AllIn(_) | CAtom::AnyOffline(_))
     }
 
-    /// Evaluates the atom.  `snapshot` is only read by state atoms, which
-    /// the caller never schedules without one.
-    fn eval(&self, snapshot: &Snapshot, step: &StepObservation) -> bool {
+    /// Evaluates the atom.  `devices` and `mode` are only read by state
+    /// atoms, which the caller never schedules without a state.
+    fn eval(&self, devices: &[DeviceState], mode: LocationMode, step: &StepObservation) -> bool {
         match self {
             CAtom::Const(v) => *v,
-            CAtom::ModeIs(mode) => snapshot.mode.eq_ignore_ascii_case(mode),
-            CAtom::AnyAttrEq { slots, value } => slots
-                .iter()
-                .any(|&(d, a)| snapshot.devices[d as usize].attributes[a as usize].1.eq_str(value)),
-            CAtom::AllAttrEq { slots, value } => slots
-                .iter()
-                .all(|&(d, a)| snapshot.devices[d as usize].attributes[a as usize].1.eq_str(value)),
-            CAtom::AnyOffline { devices } => {
-                devices.iter().any(|&d| !snapshot.devices[d as usize].online)
-            }
-            CAtom::AnyBelow { slots, threshold } => slots.iter().any(|&(d, a)| {
-                snapshot.devices[d as usize].attributes[a as usize]
-                    .1
-                    .as_number()
-                    .map(|v| v < *threshold)
-                    .unwrap_or(false)
-            }),
-            CAtom::AnyAbove { slots, threshold } => slots.iter().any(|&(d, a)| {
-                snapshot.devices[d as usize].attributes[a as usize]
-                    .1
-                    .as_number()
-                    .map(|v| v > *threshold)
-                    .unwrap_or(false)
-            }),
+            CAtom::ModeIn(mask) => (mask >> mode as u32) & 1 != 0,
+            CAtom::AnyIn(slots) => slots.iter().any(|s| s.holds(devices)),
+            CAtom::AllIn(slots) => slots.iter().all(|s| s.holds(devices)),
+            CAtom::AnyOffline(listed) => listed.iter().any(|&d| !devices[d as usize].is_online()),
             CAtom::Conflicting => has_conflicting_commands(step),
             CAtom::Repeated => has_repeated_commands(step),
             CAtom::DisallowedNetwork => step.network.iter().any(|n| !n.allowed),
@@ -345,17 +367,19 @@ impl CompiledPropertySet {
     }
 
     /// Evaluates every property at a quiescent point (both the physical
-    /// snapshot and the step observation are visible), appending violated
-    /// ids to `out` and updating leads-to monitors in place.
+    /// state — every device's state in [`CompileTarget`] order plus the
+    /// location mode — and the step observation are visible), appending
+    /// violated ids to `out` and updating leads-to monitors in place.
     pub fn check_transition(
         &self,
-        snapshot: &Snapshot,
+        devices: &[DeviceState],
+        mode: LocationMode,
         step: &StepObservation,
         monitors: &mut [u8],
         scratch: &mut EvalScratch,
         out: &mut Vec<PropertyId>,
     ) {
-        self.fill_slots(Some(snapshot), step, scratch);
+        self.fill_slots(Some((devices, mode)), step, scratch);
         for prop in &self.props {
             self.check_one(prop, monitors, scratch, out);
         }
@@ -432,20 +456,20 @@ impl CompiledPropertySet {
     }
 
     /// Evaluates each distinct atom once into the slot vector.  State atoms
-    /// are skipped when no snapshot is given (their slots are then never read
+    /// are skipped when no state is given (their slots are then never read
     /// — only step-only programs run).
     fn fill_slots(
         &self,
-        snapshot: Option<&Snapshot>,
+        state: Option<(&[DeviceState], LocationMode)>,
         step: &StepObservation,
         scratch: &mut EvalScratch,
     ) {
         scratch.slots.clear();
         scratch.slots.resize(self.atoms.len(), false);
         for (slot, atom) in scratch.slots.iter_mut().zip(&self.atoms) {
-            match snapshot {
-                Some(snap) => *slot = atom.eval(snap, step),
-                None if !atom.reads_state() => *slot = atom.eval(&EMPTY_SNAPSHOT, step),
+            match state {
+                Some((devices, mode)) => *slot = atom.eval(devices, mode, step),
+                None if !atom.reads_state() => *slot = atom.eval(&[], LocationMode::Home, step),
                 None => {}
             }
         }
@@ -477,10 +501,6 @@ impl CompiledPropertySet {
         stack.pop().expect("empty program")
     }
 }
-
-/// A snapshot that is never read (placeholder for step-only evaluation).
-static EMPTY_SNAPSHOT: Snapshot =
-    Snapshot { mode: String::new(), devices: Vec::new(), time_seconds: 0 };
 
 struct Compiler<'a> {
     target: &'a CompileTarget,
@@ -544,70 +564,54 @@ impl Compiler<'_> {
     }
 
     fn emit_atom(&mut self, atom: &Atom) {
+        let t = self.target;
         let lowered = match atom {
-            Atom::ModeIs(mode) => CAtom::ModeIs(mode.clone()),
+            Atom::ModeIs(mode) => CAtom::ModeIn(mode_mask(|name| name.eq_ignore_ascii_case(mode))),
             Atom::AnyoneHome => {
                 // Resolved at compile time: with presence sensors installed,
                 // "anyone home" means some sensor reports `present`; without
                 // any, the location mode not being Away is the paper's proxy.
                 let presence = DeviceSelect::capability("presenceSensor");
-                let slots = self.target.attr_slots(&presence, "presence");
+                let slots = t.attr_slots(&presence, "presence", |v| v.eq_str("present"));
                 if slots.is_empty() {
-                    let slot = self.slot(CAtom::ModeIs("Away".to_string()));
-                    self.ops.push(Op::Push(slot));
-                    self.ops.push(Op::Not);
-                    return;
-                }
-                CAtom::AnyAttrEq { slots, value: "present".to_string() }
-            }
-            Atom::AnyAttr(t) => {
-                let slots = self.target.attr_slots(&t.select, &t.attribute);
-                if slots.is_empty() {
-                    CAtom::Const(false)
+                    CAtom::ModeIn(mode_mask(|name| !name.eq_ignore_ascii_case("away")))
                 } else {
-                    CAtom::AnyAttrEq { slots, value: t.value.clone() }
+                    any_in(slots)
                 }
             }
-            Atom::AllAttr(t) => {
+            Atom::AnyAttr(a) => {
+                any_in(t.attr_slots(&a.select, &a.attribute, |v| v.eq_str(&a.value)))
+            }
+            Atom::AllAttr(a) => {
                 // Match the interpreted semantics exactly: a selected device
                 // *without* the attribute fails the test (`attr_is` on a
                 // missing attribute is false).  Attribute layouts are fixed
                 // at install time, so that case folds to a constant.
-                let selected = self.target.device_slots(&t.select).len();
-                let slots = self.target.attr_slots(&t.select, &t.attribute);
+                let selected = t.device_slots(&a.select).len();
+                let slots = t.attr_slots(&a.select, &a.attribute, |v| v.eq_str(&a.value));
                 if slots.len() < selected {
                     CAtom::Const(false)
                 } else if slots.is_empty() {
                     CAtom::Const(true)
                 } else {
-                    CAtom::AllAttrEq { slots, value: t.value.clone() }
+                    CAtom::AllIn(slots)
                 }
             }
-            Atom::HasDevice(select) => CAtom::Const(!self.target.device_slots(select).is_empty()),
+            Atom::HasDevice(select) => CAtom::Const(!t.device_slots(select).is_empty()),
             Atom::AnyOffline(select) => {
-                let devices = self.target.device_slots(select);
+                let devices = t.device_slots(select);
                 if devices.is_empty() {
                     CAtom::Const(false)
                 } else {
-                    CAtom::AnyOffline { devices }
+                    CAtom::AnyOffline(devices)
                 }
             }
-            Atom::AnyBelow(t) => {
-                let slots = self.target.attr_slots(&t.select, &t.attribute);
-                if slots.is_empty() {
-                    CAtom::Const(false)
-                } else {
-                    CAtom::AnyBelow { slots, threshold: t.threshold }
-                }
-            }
-            Atom::AnyAbove(t) => {
-                let slots = self.target.attr_slots(&t.select, &t.attribute);
-                if slots.is_empty() {
-                    CAtom::Const(false)
-                } else {
-                    CAtom::AnyAbove { slots, threshold: t.threshold }
-                }
-            }
+            Atom::AnyBelow(n) => any_in(t.attr_slots(&n.select, &n.attribute, |v| {
+                v.as_number().is_some_and(|x| x < n.threshold)
+            })),
+            Atom::AnyAbove(n) => any_in(t.attr_slots(&n.select, &n.attribute, |v| {
+                v.as_number().is_some_and(|x| x > n.threshold)
+            })),
             Atom::ConflictingCommands => CAtom::Conflicting,
             Atom::RepeatedCommands => CAtom::Repeated,
             Atom::DisallowedNetwork => CAtom::DisallowedNetwork,
@@ -616,13 +620,9 @@ impl Compiler<'_> {
             Atom::FakeEventRaised => CAtom::FakeEvent,
             Atom::CommandFailed => CAtom::CommandFailed,
             Atom::UserNotified => CAtom::UserNotified,
-            Atom::CommandIssued(t) => CAtom::CommandIssued {
-                command: t.command.clone(),
-                devices: if t.select.is_any() {
-                    None
-                } else {
-                    Some(self.target.device_ids(&t.select))
-                },
+            Atom::CommandIssued(c) => CAtom::CommandIssued {
+                command: c.command.clone(),
+                devices: if c.select.is_any() { None } else { Some(t.device_ids(&c.select)) },
             },
         };
         let slot = self.slot(lowered);
@@ -633,115 +633,252 @@ impl Compiler<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::DeviceSnapshot;
+    use crate::snapshot::{DeviceSnapshot, Snapshot};
     use crate::spec::PropertySpec;
-    use iotsan_devices::DeviceId;
-    use iotsan_ir::Value;
+    use iotsan_devices::{registry, DeviceId, DeviceSpec};
 
-    fn household() -> Snapshot {
-        let dev = |id: u32, cap: &str, role: DeviceRole, attrs: &[(&str, &str)]| DeviceSnapshot {
-            id: DeviceId(id),
-            label: format!("d{id}"),
-            capability: cap.into(),
-            role,
-            attributes: attrs
+    /// A test household over registry device specs: the compile target plus
+    /// a state vector the tests mutate.
+    struct Home {
+        specs: Vec<&'static DeviceSpec>,
+        target: CompileTarget,
+        devices: Vec<DeviceState>,
+        mode: LocationMode,
+    }
+
+    impl Home {
+        fn new(devices: &[(&str, DeviceRole)]) -> Home {
+            let specs: Vec<&'static DeviceSpec> =
+                devices.iter().map(|(cap, _)| registry().spec(cap).expect("built-in")).collect();
+            let target = CompileTarget::new(
+                specs
+                    .iter()
+                    .zip(devices)
+                    .enumerate()
+                    .map(|(i, (spec, (_, role)))| TargetDevice {
+                        id: i as u32,
+                        label: format!("d{i}"),
+                        capability: spec.capability.to_string(),
+                        role: *role,
+                        attributes: spec
+                            .attributes
+                            .iter()
+                            .map(|a| (a.name.to_string(), a.domain.clone()))
+                            .collect(),
+                    })
+                    .collect(),
+            );
+            let devices = specs.iter().map(|spec| DeviceState::initial(spec)).collect();
+            Home { specs, target, devices, mode: LocationMode::Home }
+        }
+
+        /// The presence sensor, main door lock, smoke detector and heater
+        /// outlet most tests share (initially present/locked/clear/off).
+        fn household() -> Home {
+            Home::new(&[
+                ("presenceSensor", DeviceRole::Generic),
+                ("lock", DeviceRole::MainDoorLock),
+                ("smokeDetector", DeviceRole::Generic),
+                ("switch", DeviceRole::Heater),
+            ])
+        }
+
+        fn set(&mut self, device: usize, attribute: &str, value: impl Into<Value>) {
+            assert!(self.devices[device].set(self.specs[device], attribute, &value.into()));
+        }
+
+        /// The interpreted reference view of the current state.
+        fn snapshot(&self) -> Snapshot {
+            let devices = self
+                .target
+                .devices
                 .iter()
-                .map(|(n, v)| (n.to_string(), Value::Str(v.to_string())))
-                .collect(),
-            online: true,
-        };
-        Snapshot {
-            mode: "Home".into(),
-            devices: vec![
-                dev(0, "presenceSensor", DeviceRole::Generic, &[("presence", "present")]),
-                dev(1, "lock", DeviceRole::MainDoorLock, &[("lock", "locked")]),
-                dev(2, "smokeDetector", DeviceRole::Generic, &[("smoke", "clear")]),
-                dev(3, "switch", DeviceRole::Heater, &[("switch", "off")]),
-            ],
-            time_seconds: 0,
+                .zip(&self.devices)
+                .map(|(t, state)| DeviceSnapshot {
+                    id: DeviceId(t.id),
+                    label: t.label.clone(),
+                    capability: t.capability.clone(),
+                    role: t.role,
+                    attributes: t
+                        .attributes
+                        .iter()
+                        .enumerate()
+                        .map(|(i, (name, domain))| {
+                            (name.clone(), domain.value(state.raw(i).unwrap() as usize))
+                        })
+                        .collect(),
+                    online: state.is_online(),
+                })
+                .collect();
+            Snapshot { mode: self.mode.name().to_string(), devices, time_seconds: 0 }
+        }
+
+        fn compile(&self, set: &PropertySet) -> CompiledPropertySet {
+            CompiledPropertySet::compile(set, &self.target)
+        }
+
+        fn check(
+            &self,
+            compiled: &CompiledPropertySet,
+            step: &StepObservation,
+            monitors: &mut [u8],
+            out: &mut Vec<PropertyId>,
+        ) {
+            let mut scratch = EvalScratch::default();
+            compiled.check_transition(&self.devices, self.mode, step, monitors, &mut scratch, out);
+        }
+
+        /// Violated ids of `set` on a quiet step, compiled — asserted equal
+        /// to the interpreted reference on the snapshot.
+        fn violated(&self, set: &PropertySet) -> Vec<u32> {
+            let compiled = self.compile(set);
+            let step = StepObservation::default();
+            let mut monitors = vec![0u8; compiled.monitor_count()];
+            let mut out = Vec::new();
+            self.check(&compiled, &step, &mut monitors, &mut out);
+            let mut got: Vec<u32> = out.into_iter().map(|id| id.0).collect();
+            got.sort_unstable();
+            let mut want: Vec<u32> =
+                set.check_point(&self.snapshot(), &step).into_iter().map(|id| id.0).collect();
+            want.sort_unstable();
+            assert_eq!(got, want, "compiled vs interpreted");
+            got
         }
     }
 
-    fn compile_one(spec: PropertySpec, snapshot: &Snapshot) -> CompiledPropertySet {
-        let set = PropertySet::from_specs(vec![spec]);
-        CompiledPropertySet::compile(&set, &CompileTarget::from_snapshot(snapshot))
+    fn one(spec: PropertySpec) -> PropertySet {
+        PropertySet::from_specs(vec![spec])
     }
 
-    fn violated(
-        compiled: &CompiledPropertySet,
-        snapshot: &Snapshot,
-        step: &StepObservation,
-    ) -> Vec<u32> {
-        let mut monitors = vec![0u8; compiled.monitor_count()];
-        let mut scratch = EvalScratch::default();
-        let mut out = Vec::new();
-        compiled.check_transition(snapshot, step, &mut monitors, &mut scratch, &mut out);
-        out.into_iter().map(|id| id.0).collect()
+    fn never(id: u32, expr: Expr) -> PropertySpec {
+        PropertySpec::builder(id, "p").never(expr)
     }
 
     #[test]
     fn selectors_resolve_to_slots_and_constants_fold() {
-        let snapshot = household();
-        let spec = PropertySpec::builder(1, "p").never(Expr::and([
-            Expr::has_device(DeviceSelect::role("heater")),
-            Expr::capability_attr("lock", "lock", "unlocked"),
-        ]));
-        let compiled = compile_one(spec, &snapshot);
+        let mut home = Home::household();
+        let set = one(never(
+            1,
+            Expr::and([
+                Expr::has_device(DeviceSelect::role("heater")),
+                Expr::capability_attr("lock", "lock", "unlocked"),
+            ]),
+        ));
         // `has_device` folded into a constant, the attr test into one atom.
-        assert!(compiled.atom_count() <= 2);
-        let step = StepObservation::default();
-        assert!(violated(&compiled, &snapshot, &step).is_empty());
-        let mut unlocked = snapshot.clone();
-        unlocked.devices[1].attributes[0].1 = Value::Str("unlocked".into());
-        assert_eq!(violated(&compiled, &unlocked, &step), vec![1]);
+        assert!(home.compile(&set).atom_count() <= 2);
+        assert!(home.violated(&set).is_empty());
+        home.set(1, "lock", "unlocked");
+        assert_eq!(home.violated(&set), vec![1]);
     }
 
     #[test]
     fn anyone_home_compiles_to_presence_or_mode_fallback() {
-        let snapshot = household();
-        let spec = PropertySpec::builder(1, "p").always(Expr::anyone_home());
-        let compiled = compile_one(spec.clone(), &snapshot);
-        let step = StepObservation::default();
-        assert!(violated(&compiled, &snapshot, &step).is_empty());
-        let mut gone = snapshot.clone();
-        gone.devices[0].attributes[0].1 = Value::Str("not present".into());
-        assert_eq!(violated(&compiled, &gone, &step), vec![1]);
+        let set = one(PropertySpec::builder(1, "p").always(Expr::anyone_home()));
+        let mut home = Home::household();
+        assert!(home.violated(&set).is_empty());
+        home.set(0, "presence", "not present");
+        assert_eq!(home.violated(&set), vec![1]);
 
         // No presence sensors: mode decides.
-        let mut bare = Snapshot { mode: "Home".into(), devices: vec![], time_seconds: 0 };
-        let compiled = compile_one(spec, &bare);
-        assert!(violated(&compiled, &bare, &step).is_empty());
-        bare.mode = "Away".into();
-        assert_eq!(violated(&compiled, &bare, &step), vec![1]);
+        let mut bare = Home::new(&[]);
+        assert!(bare.violated(&set).is_empty());
+        bare.mode = LocationMode::Away;
+        assert_eq!(bare.violated(&set), vec![1]);
     }
 
     #[test]
     fn compiled_verdicts_match_interpreted_for_builtins() {
         // Every built-in property agrees with the interpreted reference on a
-        // handful of hand-made situations.
-        let set = PropertySet::all();
-        let mut snapshot = household();
-        snapshot.mode = "Night".into();
-        snapshot.devices[1].attributes[0].1 = Value::Str("unlocked".into());
-        snapshot.devices[2].attributes[0].1 = Value::Str("detected".into());
-        snapshot.devices[2].online = false;
-        snapshot.devices[3].attributes[0].1 = Value::Str("on".into());
-        let step = StepObservation::default();
-        let compiled = CompiledPropertySet::compile(&set, &CompileTarget::from_snapshot(&snapshot));
-        let mut got = violated(&compiled, &snapshot, &step);
-        got.sort_unstable();
-        let mut want: Vec<u32> =
-            set.check_point(&snapshot, &step).into_iter().map(|id| id.0).collect();
-        want.sort_unstable();
-        assert_eq!(got, want);
-        assert!(!want.is_empty());
+        // hand-made situation (`violated` asserts the agreement).
+        let mut home = Home::household();
+        home.mode = LocationMode::Night;
+        home.set(1, "lock", "unlocked");
+        home.set(2, "smoke", "detected");
+        home.devices[2].set_online(false);
+        home.set(3, "switch", "on");
+        assert!(!home.violated(&PropertySet::all()).is_empty());
+    }
+
+    #[test]
+    fn numeric_strings_match_a_numeric_level() {
+        // `eq_str` compares numerically when both sides parse, so "75" and
+        // "75.0" both select the Numeric level 75.
+        let mut home = Home::new(&[("temperatureMeasurement", DeviceRole::Generic)]);
+        let set = PropertySet::from_specs(vec![
+            never(1, Expr::capability_attr("temperatureMeasurement", "temperature", "75")),
+            never(2, Expr::capability_attr("temperatureMeasurement", "temperature", "75.0")),
+        ]);
+        home.set(0, "temperature", 75i64);
+        assert_eq!(home.violated(&set), vec![1, 2]);
+        home.set(0, "temperature", 68i64);
+        assert!(home.violated(&set).is_empty());
+    }
+
+    #[test]
+    fn thresholds_on_a_domain_level_are_strict() {
+        let mut home = Home::new(&[("temperatureMeasurement", DeviceRole::Generic)]);
+        let set = PropertySet::from_specs(vec![
+            never(1, Expr::any_below(DeviceSelect::any(), "temperature", 50.0)),
+            never(2, Expr::any_above(DeviceSelect::any(), "temperature", 85.0)),
+        ]);
+        home.set(0, "temperature", 50i64);
+        assert!(home.violated(&set).is_empty());
+        home.set(0, "temperature", 85i64);
+        assert!(home.violated(&set).is_empty());
+        home.set(0, "temperature", 30i64);
+        assert_eq!(home.violated(&set), vec![1]);
+        home.set(0, "temperature", 95i64);
+        assert_eq!(home.violated(&set), vec![2]);
+    }
+
+    #[test]
+    fn all_attr_is_vacuous_or_fails_on_a_device_without_the_attribute() {
+        let home = Home::household();
+        // No sprinkler installed: vacuously true.
+        let vacuous =
+            one(never(1, Expr::all_attr(DeviceSelect::role("sprinkler"), "switch", "on")));
+        assert_eq!(home.violated(&vacuous), vec![1]);
+        // The presence sensor is present, but the lock, smoke detector and
+        // outlet are selected too and have no `presence` attribute.
+        let broad = one(never(2, Expr::all_attr(DeviceSelect::any(), "presence", "present")));
+        assert!(home.violated(&broad).is_empty());
+        let exact = one(never(
+            3,
+            Expr::all_attr(DeviceSelect::capability("presenceSensor"), "presence", "present"),
+        ));
+        assert_eq!(home.violated(&exact), vec![3]);
+    }
+
+    #[test]
+    fn mode_names_match_case_insensitively_but_synonyms_do_not() {
+        let mut home = Home::new(&[]);
+        let set = PropertySet::from_specs(vec![
+            never(1, Expr::mode_is("away")),
+            never(2, Expr::mode_is("Goodbye!")),
+        ]);
+        home.mode = LocationMode::Away;
+        assert_eq!(home.violated(&set), vec![1]);
+        home.mode = LocationMode::Night;
+        assert!(home.violated(&set).is_empty());
+    }
+
+    #[test]
+    fn offline_devices_are_seen_and_keep_their_values() {
+        let mut home = Home::household();
+        let set = PropertySet::from_specs(vec![
+            never(1, Expr::any_offline(DeviceSelect::capability("smokeDetector"))),
+            never(2, Expr::capability_attr("smokeDetector", "smoke", "detected")),
+        ]);
+        assert!(home.violated(&set).is_empty());
+        home.set(2, "smoke", "detected");
+        home.devices[2].set_online(false);
+        assert_eq!(home.violated(&set), vec![1, 2]);
     }
 
     #[test]
     fn step_only_pass_skips_state_properties() {
-        let snapshot = household();
-        let set = PropertySet::all();
-        let compiled = CompiledPropertySet::compile(&set, &CompileTarget::from_snapshot(&snapshot));
+        let home = Home::household();
+        let compiled = home.compile(&PropertySet::all());
         let step = StepObservation {
             unsubscribes: vec!["A".into()],
             command_failures: 1,
@@ -764,8 +901,8 @@ mod tests {
             Expr::atom(Atom::UserNotified),
             2,
         );
-        let snapshot = Snapshot::default();
-        let compiled = compile_one(spec, &snapshot);
+        let home = Home::new(&[]);
+        let compiled = home.compile(&one(spec));
         assert_eq!(compiled.monitor_count(), 1);
         let failing = StepObservation { command_failures: 1, ..Default::default() };
         let quiet = StepObservation::default();
@@ -778,27 +915,26 @@ mod tests {
             }],
             ..Default::default()
         };
-        let mut scratch = EvalScratch::default();
 
         // Trigger, silence, silence → violated exactly on the second
         // follow-up step.
         let mut monitors = vec![0u8];
         let mut out = Vec::new();
-        compiled.check_transition(&snapshot, &failing, &mut monitors, &mut scratch, &mut out);
+        home.check(&compiled, &failing, &mut monitors, &mut out);
         assert!(out.is_empty());
         assert_eq!(monitors, vec![2]);
-        compiled.check_transition(&snapshot, &quiet, &mut monitors, &mut scratch, &mut out);
+        home.check(&compiled, &quiet, &mut monitors, &mut out);
         assert!(out.is_empty());
-        compiled.check_transition(&snapshot, &quiet, &mut monitors, &mut scratch, &mut out);
+        home.check(&compiled, &quiet, &mut monitors, &mut out);
         assert_eq!(out.iter().map(|id| id.0).collect::<Vec<_>>(), vec![9]);
         assert_eq!(monitors, vec![0]);
 
         // Trigger then notify → obligation discharged, never violated.
         let mut monitors = vec![0u8];
         let mut out = Vec::new();
-        compiled.check_transition(&snapshot, &failing, &mut monitors, &mut scratch, &mut out);
-        compiled.check_transition(&snapshot, &notified, &mut monitors, &mut scratch, &mut out);
-        compiled.check_transition(&snapshot, &quiet, &mut monitors, &mut scratch, &mut out);
+        home.check(&compiled, &failing, &mut monitors, &mut out);
+        home.check(&compiled, &notified, &mut monitors, &mut out);
+        home.check(&compiled, &quiet, &mut monitors, &mut out);
         assert!(out.is_empty());
         assert_eq!(monitors, vec![0]);
     }
@@ -813,21 +949,20 @@ mod tests {
             Expr::atom(Atom::UserNotified),
             2,
         );
-        let snapshot = Snapshot::default();
-        let compiled = compile_one(spec, &snapshot);
+        let home = Home::new(&[]);
+        let compiled = home.compile(&one(spec));
         let failing = StepObservation { command_failures: 1, ..Default::default() };
         let quiet = StepObservation::default();
-        let mut scratch = EvalScratch::default();
         let mut monitors = vec![0u8];
         let mut out = Vec::new();
         // t0: trigger (deadline t2).  t1: trigger again — countdown must
         // keep counting the t0 obligation (slot 1, not refreshed to 2).
-        compiled.check_transition(&snapshot, &failing, &mut monitors, &mut scratch, &mut out);
-        compiled.check_transition(&snapshot, &failing, &mut monitors, &mut scratch, &mut out);
+        home.check(&compiled, &failing, &mut monitors, &mut out);
+        home.check(&compiled, &failing, &mut monitors, &mut out);
         assert!(out.is_empty());
         assert_eq!(monitors, vec![1]);
         // t2: silence — the t0 deadline expires.
-        compiled.check_transition(&snapshot, &quiet, &mut monitors, &mut scratch, &mut out);
+        home.check(&compiled, &quiet, &mut monitors, &mut out);
         assert_eq!(out.iter().map(|id| id.0).collect::<Vec<_>>(), vec![9]);
     }
 
@@ -846,8 +981,21 @@ mod tests {
             }),
             ltl: None,
         };
-        let set = PropertySet::from_specs(vec![spec]);
-        let _ = CompiledPropertySet::compile(&set, &CompileTarget::default());
+        let _ = CompiledPropertySet::compile(&one(spec), &CompileTarget::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "a property mask holds 64")]
+    fn domains_wider_than_a_mask_fail_compilation() {
+        let wide = TargetDevice {
+            id: 0,
+            label: "dial".into(),
+            capability: "dial".into(),
+            role: DeviceRole::Generic,
+            attributes: vec![("level".into(), AttrDomain::Numeric((0..65).collect()))],
+        };
+        let set = one(never(1, Expr::any_above(DeviceSelect::any(), "level", 10.0)));
+        let _ = CompiledPropertySet::compile(&set, &CompileTarget::new(vec![wide]));
     }
 
     #[test]
@@ -855,10 +1003,7 @@ mod tests {
         // The paper corpus only uses same-step response (within = 0), so the
         // model-checker state vector stays byte-identical to the pre-spec
         // catalog.
-        let compiled = CompiledPropertySet::compile(
-            &PropertySet::all(),
-            &CompileTarget::from_snapshot(&household()),
-        );
+        let compiled = Home::household().compile(&PropertySet::all());
         assert_eq!(compiled.monitor_count(), 0);
     }
 }

@@ -18,11 +18,13 @@
 //! * [`registry`] — the [`PropertySet`] of specs selected for one run, with
 //!   content hashing for the verification cache;
 //! * [`compile`] — install-time compilation into slot-indexed
-//!   [`CompiledPropertySet`] programs (deduplicated atoms fill a slot
+//!   [`CompiledPropertySet`] programs over the checker's state vector
+//!   (state atoms become domain-index masks, deduplicated atoms fill a slot
 //!   vector once per transition, per-property programs run pure boolean
 //!   ops; leads-to obligations live in checker-state monitor counters);
-//! * [`snapshot`] — the physical [`Snapshot`] and per-step
-//!   [`StepObservation`] the evaluators read.
+//! * [`snapshot`] — the physical [`Snapshot`] the interpreted reference
+//!   evaluator reads and the per-step [`StepObservation`] both evaluators
+//!   read.
 //!
 //! ```
 //! use iotsan_properties::{PropertySet, Snapshot};

@@ -5,7 +5,9 @@
 //!
 //! * a [`Snapshot`] of the *physical* state — every device's attributes, the
 //!   location mode and the modelled time — used by the 38 safe-physical-state
-//!   invariants (Table 4);
+//!   invariants (Table 4) in the interpreted reference evaluator (the
+//!   compiled evaluator reads the same facts straight from the model's state
+//!   vector, see [`crate::compile`]);
 //! * a [`StepObservation`] of what *happened* during the step — the commands
 //!   each actuator received, messages sent, network calls, fake events and
 //!   `unsubscribe` calls, plus failure bookkeeping — used by the conflicting/

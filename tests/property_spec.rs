@@ -11,12 +11,12 @@
 //! plus proptest evidence that JSON roundtripping and compilation preserve
 //! verdicts against the interpreted reference semantics.
 
-use iotsan::devices::DeviceId;
-use iotsan::ir::Value;
+use iotsan::config::{DeviceConfig, SystemConfig};
+use iotsan::devices::{registry, DeviceId, LocationMode};
 use iotsan::properties::{
-    CompileTarget, CompiledPropertySet, DeviceRole, DeviceSelect, DeviceSnapshot, EvalScratch,
-    Expr, PropertyClass, PropertySet, PropertySpec, Snapshot, StepObservation,
+    DeviceSelect, EvalScratch, Expr, PropertyClass, PropertySet, PropertySpec, StepObservation,
 };
+use iotsan::system::{InstalledSystem, SystemState};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::time::Duration;
@@ -145,7 +145,7 @@ fn golden_fleet_workload_verdicts_are_unchanged() {
 // ---------------------------------------------------------------------------
 //
 // The vendored proptest stub binds simple scalar strategies; richer values
-// (snapshots, steps, spec ASTs) are derived in-body from a seed through a
+// (households and their states, steps, spec ASTs) are derived in-body from a seed through a
 // small deterministic splitmix generator, so every failing case is
 // reproducible from its printed case number.
 
@@ -171,41 +171,77 @@ impl Gen {
     }
 }
 
-/// A random household snapshot over a fixed device population.
-fn gen_snapshot(g: &mut Gen) -> Snapshot {
-    let template: [(&str, DeviceRole, &str, &[&str]); 8] = [
-        ("presenceSensor", DeviceRole::Generic, "presence", &["present", "not present"]),
-        ("lock", DeviceRole::MainDoorLock, "lock", &["locked", "unlocked"]),
-        ("smokeDetector", DeviceRole::Generic, "smoke", &["clear", "detected"]),
-        ("switch", DeviceRole::Heater, "switch", &["on", "off"]),
-        ("switch", DeviceRole::Light, "switch", &["on", "off"]),
-        ("motionSensor", DeviceRole::Generic, "motion", &["active", "inactive"]),
-        ("alarm", DeviceRole::Alarm, "alarm", &["off", "siren", "strobe", "both"]),
-        ("valve", DeviceRole::WaterValve, "valve", &["open", "closed"]),
+/// A random installed household (0–10 devices, mostly drawn from the
+/// devices the built-in properties talk about, sometimes any registry
+/// capability) in a random state: a random in-domain index for every
+/// attribute, random online flags and any of the three location modes.
+fn gen_household(g: &mut Gen) -> (InstalledSystem, SystemState) {
+    const TEMPLATE: [(&str, &str); 14] = [
+        ("presenceSensor", ""),
+        ("lock", "main door lock"),
+        ("lock", ""),
+        ("smokeDetector", ""),
+        ("carbonMonoxideDetector", ""),
+        ("switch", "heater"),
+        ("switch", "light"),
+        ("switch", "ac"),
+        ("motionSensor", ""),
+        ("alarm", "alarm"),
+        ("valve", "water valve"),
+        ("temperatureMeasurement", ""),
+        ("thermostat", ""),
+        ("garageDoorControl", "entrance door"),
     ];
-    let mode = ["Home", "Away", "Night"][g.pick(3)];
-    let mut devices: Vec<DeviceSnapshot> = template
-        .iter()
-        .enumerate()
-        .map(|(i, (cap, role, attr, values))| DeviceSnapshot {
-            id: DeviceId(i as u32),
-            label: format!("d{i}"),
-            capability: (*cap).to_string(),
-            role: *role,
-            attributes: vec![(attr.to_string(), Value::Str(values[g.pick(values.len())].into()))],
-            online: true,
-        })
-        .collect();
-    devices[2].online = g.flag();
-    devices.push(DeviceSnapshot {
-        id: DeviceId(devices.len() as u32),
-        label: "thermo".into(),
-        capability: "temperatureMeasurement".into(),
-        role: DeviceRole::Generic,
-        attributes: vec![("temperature".into(), Value::Int(g.pick(140) as i64 - 20))],
-        online: true,
-    });
-    Snapshot { mode: mode.to_string(), devices, time_seconds: 0 }
+    const ROLES: [&str; 6] = ["", "heater", "light", "appliance", "sprinkler", "camera"];
+    let specs = registry().specs();
+    let mut config = SystemConfig::new();
+    for i in 0..g.pick(11) {
+        let (capability, role) = if g.pick(4) == 0 {
+            (specs[g.pick(specs.len())].capability, ROLES[g.pick(ROLES.len())])
+        } else {
+            TEMPLATE[g.pick(TEMPLATE.len())]
+        };
+        config = config.with_device(DeviceConfig::new(format!("d{i}"), capability, role));
+    }
+    let system = InstalledSystem::new(Vec::new(), config);
+    let mut state = system.initial_state();
+    for (device, dstate) in system.devices.iter().zip(&mut state.devices) {
+        let spec = device.spec();
+        for (index, attr) in spec.attributes.iter().enumerate() {
+            dstate.set_index_at(spec, index, g.pick(attr.domain.len()));
+        }
+        dstate.set_online(g.pick(4) != 0);
+    }
+    state.mode = LocationMode::ALL[g.pick(3)];
+    (system, state)
+}
+
+/// Violated ids of `set` at `state` after `step`: (compiled on the state
+/// vector, interpreted on the snapshot), each sorted.
+fn verdicts(
+    system: &InstalledSystem,
+    state: &SystemState,
+    set: &PropertySet,
+    step: &StepObservation,
+) -> (Vec<u32>, Vec<u32>) {
+    let compiled = system.compile_properties(set);
+    let mut monitors = vec![0u8; compiled.monitor_count()];
+    let mut scratch = EvalScratch::default();
+    let mut out = Vec::new();
+    compiled.check_transition(
+        &state.devices,
+        state.mode,
+        step,
+        &mut monitors,
+        &mut scratch,
+        &mut out,
+    );
+    let mut got: Vec<u32> = out.iter().map(|id| id.0).collect();
+    got.sort_unstable();
+    let mut want: Vec<u32> =
+        set.check_point(&system.snapshot(state), step).into_iter().map(|id| id.0).collect();
+    want.sort_unstable();
+    (got, want)
 }
 
 /// A random step observation (commands, failures, notifications).
@@ -242,7 +278,7 @@ fn gen_step(g: &mut Gen) -> StepObservation {
 /// A random formula over the household vocabulary, depth-bounded.
 fn gen_expr(g: &mut Gen, depth: usize) -> Expr {
     if depth == 0 || g.pick(3) == 0 {
-        let atoms: [Expr; 16] = [
+        let atoms: [Expr; 18] = [
             Expr::anyone_home(),
             Expr::mode_is("Night"),
             Expr::mode_is("Away"),
@@ -252,6 +288,9 @@ fn gen_expr(g: &mut Gen, depth: usize) -> Expr {
             Expr::any_offline(DeviceSelect::capability("smokeDetector")),
             Expr::any_below(DeviceSelect::any(), "temperature", 50.0),
             Expr::any_above(DeviceSelect::any(), "temperature", 90.0),
+            // Thresholds and numeric equality on an exact domain level.
+            Expr::any_below(DeviceSelect::any(), "temperature", 50.0),
+            Expr::capability_attr("temperatureMeasurement", "temperature", "75.0"),
             Expr::all_attr(DeviceSelect::capability("presenceSensor"), "presence", "not present"),
             // Broad-selector all-quantifier: most selected devices lack the
             // attribute, which must fail the test in both evaluators.
@@ -286,12 +325,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// PropertySpec → JSON → PropertySpec is the identity, and the compiled
-    /// evaluator agrees with the interpreted reference on random points.
+    /// evaluator agrees with the interpreted reference on random states of
+    /// random households.
     #[test]
     fn spec_json_compile_roundtrip_preserves_verdicts(seed in 0u64..u64::MAX) {
         let mut g = Gen(seed);
         let spec = gen_spec(&mut g);
-        let snapshot = gen_snapshot(&mut g);
+        let (system, state) = gen_household(&mut g);
         let step = gen_step(&mut g);
 
         // JSON roundtrip.
@@ -302,34 +342,18 @@ proptest! {
 
         // Compiled verdict == interpreted verdict.
         let set = PropertySet::from_specs(vec![parsed]);
-        let compiled = CompiledPropertySet::compile(&set, &CompileTarget::from_snapshot(&snapshot));
-        let mut monitors = vec![0u8; compiled.monitor_count()];
-        let mut scratch = EvalScratch::default();
-        let mut out = Vec::new();
-        compiled.check_transition(&snapshot, &step, &mut monitors, &mut scratch, &mut out);
-        let compiled_violated = !out.is_empty();
-        let interpreted_violated = !set.check_point(&snapshot, &step).is_empty();
-        prop_assert_eq!(compiled_violated, interpreted_violated);
+        let (compiled, interpreted) = verdicts(&system, &state, &set, &step);
+        prop_assert_eq!(!compiled.is_empty(), !interpreted.is_empty());
     }
 
     /// The whole built-in corpus agrees between the compiled and interpreted
-    /// paths on random household snapshots and steps.
+    /// paths on random states of random households and random steps.
     #[test]
     fn builtin_corpus_compiled_matches_interpreted(seed in 0u64..u64::MAX) {
         let mut g = Gen(seed);
-        let snapshot = gen_snapshot(&mut g);
+        let (system, state) = gen_household(&mut g);
         let step = gen_step(&mut g);
-        let set = PropertySet::all();
-        let compiled = CompiledPropertySet::compile(&set, &CompileTarget::from_snapshot(&snapshot));
-        let mut monitors = vec![0u8; compiled.monitor_count()];
-        let mut scratch = EvalScratch::default();
-        let mut out = Vec::new();
-        compiled.check_transition(&snapshot, &step, &mut monitors, &mut scratch, &mut out);
-        let mut got: Vec<u32> = out.iter().map(|id| id.0).collect();
-        got.sort_unstable();
-        let mut want: Vec<u32> =
-            set.check_point(&snapshot, &step).into_iter().map(|id| id.0).collect();
-        want.sort_unstable();
+        let (got, want) = verdicts(&system, &state, &PropertySet::all(), &step);
         prop_assert_eq!(got, want);
     }
 }
