@@ -1,11 +1,16 @@
 //! Criterion micro-benchmark for the compiled property evaluators in
 //! isolation: one `CompiledPropertySet::check_transition` pass over the
 //! state vector — the deduplicated atom slots filled once from domain-index
-//! masks, then every property's postfix program — exactly what the checker
-//! pays per explored transition on top of `apply` + `encode`.
+//! masks, then either the memoised verdicts of that atom valuation or, the
+//! first time the scratch sees it, every property's postfix program — what
+//! the checker pays per explored transition on top of `apply` + `encode`.
 //!
-//! Three rows: the 45 built-ins, built-ins + 5 custom specs (the open-API
-//! overhead), and spec→program compilation itself (the install-time cost).
+//! Rows, each for the 45 built-ins and built-ins + 5 custom specs (the
+//! open-API overhead): `check_transition` re-evaluates one state with one
+//! scratch, so it times the memo hit a search pays on almost every
+//! transition; `check_transition_miss` uses a fresh scratch per pass, so it
+//! times the programs plus the memo insert.  A last row times spec→program
+//! compilation itself (the install-time cost).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use iotsan::properties::{EvalScratch, PropertySet, StepObservation};
@@ -38,6 +43,20 @@ fn bench_property_eval(c: &mut Criterion) {
                     black_box(&observation),
                     &mut monitors,
                     &mut scratch,
+                    &mut out,
+                );
+                black_box(out.len())
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("check_transition_miss", label), &(), |b, ()| {
+            b.iter(|| {
+                out.clear();
+                compiled.check_transition(
+                    black_box(&state.devices),
+                    black_box(state.mode),
+                    black_box(&observation),
+                    &mut monitors,
+                    &mut EvalScratch::default(),
                     &mut out,
                 );
                 black_box(out.len())

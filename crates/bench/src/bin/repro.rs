@@ -315,6 +315,9 @@ fn properties_experiment(json: &mut BenchJson) {
     // ---- property_eval micro-benchmark: one compiled pass in isolation ----
     // The pass reads the state vector, exactly as the model does per
     // transition, so the row is the whole property cost of a transition.
+    // `hit` re-evaluates one state with one scratch: the memoised verdicts
+    // a search replays on almost every transition.  `miss` uses a fresh
+    // scratch per pass: the programs plus the memo insert.
     let pipeline = Pipeline::with_events(events);
     let restricted = pipeline.restrict_config(&apps, &config);
     let system = InstalledSystem::new(apps.clone(), restricted);
@@ -328,35 +331,41 @@ fn properties_experiment(json: &mut BenchJson) {
     ] {
         let compiled = system.compile_properties(&set);
         let mut monitors = vec![0u8; compiled.monitor_count()];
-        let mut scratch = iotsan::properties::EvalScratch::default();
         let mut out = Vec::new();
-        let iters = 200_000u32;
-        let start = Instant::now();
-        for _ in 0..iters {
-            out.clear();
-            compiled.check_transition(
-                &state.devices,
-                state.mode,
-                &observation,
-                &mut monitors,
-                &mut scratch,
-                &mut out,
+        for path in ["hit", "miss"] {
+            let mut scratch = iotsan::properties::EvalScratch::default();
+            let iters = 200_000u32;
+            let start = Instant::now();
+            for _ in 0..iters {
+                if path == "miss" {
+                    scratch = iotsan::properties::EvalScratch::default();
+                }
+                out.clear();
+                compiled.check_transition(
+                    &state.devices,
+                    state.mode,
+                    &observation,
+                    &mut monitors,
+                    &mut scratch,
+                    &mut out,
+                );
+            }
+            let ns = start.elapsed().as_nanos() as f64 / f64::from(iters);
+            println!(
+                "  {label:<18} {:>3} specs, {:>3} atoms, {path:<4}: {ns:>8.1} ns/pass",
+                set.len(),
+                compiled.atom_count()
+            );
+            eval_rows.push(
+                JsonRow::new()
+                    .str("set", label)
+                    .str("path", path)
+                    .num_u("properties", set.len() as u64)
+                    .num_u("atoms", compiled.atom_count() as u64)
+                    .fixed("ns_per_eval", ns, 1)
+                    .finish(),
             );
         }
-        let ns = start.elapsed().as_nanos() as f64 / f64::from(iters);
-        println!(
-            "  {label:<18} {:>3} specs, {:>3} atoms: {ns:>8.1} ns/pass",
-            set.len(),
-            compiled.atom_count()
-        );
-        eval_rows.push(
-            JsonRow::new()
-                .str("set", label)
-                .num_u("properties", set.len() as u64)
-                .num_u("atoms", compiled.atom_count() as u64)
-                .fixed("ns_per_eval", ns, 1)
-                .finish(),
-        );
     }
     json.push_experiment("property_eval", "market8", events, &eval_rows);
 }

@@ -1,11 +1,11 @@
 //! The explicit-state search engine.
 //!
-//! This is the Spin substitute (see DESIGN.md §4): a bounded, explicit-state
-//! safety checker.  The model checker "enumerates all possible permutations of
-//! the input physical events up to a maximum number of events per user's
-//! configuration to exhaustively verify the system" (Algorithm 1) — here that
-//! bound is [`SearchConfig::max_depth`], the maximum number of external events
-//! along any path.  Visited states are stored exactly, hash-compacted or in a
+//! This is the Spin substitute: a bounded, explicit-state safety checker
+//! (ARCHITECTURE.md, "Verification layers").  The model checker "enumerates
+//! all possible permutations of the input physical events up to a maximum
+//! number of events per user's configuration to exhaustively verify the
+//! system" (Algorithm 1) — here that bound is [`SearchConfig::max_depth`],
+//! the maximum number of external events along any path.  Visited states are stored exactly, hash-compacted or in a
 //! BITSTATE bit array ([`crate::store`]).
 //!
 //! # Level order

@@ -18,11 +18,14 @@
 //! interned [`Sym`]s, never owned strings — because the checker clones one
 //! into its counterexample arena for every admitted state.  `apply` threads a
 //! reusable [`ModelScratch`] (observation buffers, the cascade queue, the
-//! property evaluator's slot vector) and a deferred [`StepLog`], so a
-//! steady-state transition on a non-violating path performs no heap
-//! allocation beyond constructing its successor state.  The compiled
-//! properties read the successor's device states and mode directly: no
-//! physical-state snapshot is rendered per transition.
+//! property evaluator's packed atom valuation and verdict memo) and a
+//! deferred [`StepLog`], so a steady-state transition on a non-violating
+//! path performs no heap allocation beyond constructing its successor
+//! state.  The compiled properties read the successor's device states and
+//! mode directly: no physical-state snapshot is rendered per transition.
+//! A search keeps one scratch per worker, so the property programs run once
+//! per distinct atom valuation it meets; every other transition replays
+//! the memoised verdicts.
 //! Log lines and action strings are rendered only for materialized
 //! counterexamples ([`TransitionSystem::display_action`] /
 //! [`TransitionSystem::render_event`]).

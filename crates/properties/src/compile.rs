@@ -1,26 +1,4 @@
 //! Compilation of [`PropertySpec`](crate::PropertySpec)s into slot-indexed, zero-allocation
-//! evaluators.
-//!
-//! The checker evaluates every property once per explored transition, so the
-//! interpreted [`crate::Expr::eval`] walk (selector matching, attribute-name
-//! lookups) is far too slow for the hot path.  At install time the
-//! [`CompiledPropertySet`] resolves everything that is fixed by the installed
-//! system against a [`CompileTarget`]:
-//!
-//! * device selectors become lists of `(device index, attribute index)`
-//!   *slots* into the snapshot's fixed layout — no capability/role/attribute
-//!   string matching remains at evaluation time;
-//! * existence tests ([`crate::Atom::HasDevice`]) fold to constants;
-//! * formulas become flat postfix programs over a shared, deduplicated atom
-//!   table: each distinct atom is evaluated once per transition into a slot
-//!   vector, then every property's program runs pure boolean ops.
-//!
-//! Evaluation reuses an [`EvalScratch`] (slot vector + program stack), so a
-//! steady-state transition check performs no heap allocation.  Leads-to
-//! obligations are tracked in caller-owned per-property monitor counters that
-//! are part of the model-checker state identity.
-
-//! Compilation of [`PropertySpec`](crate::PropertySpec)s into slot-indexed, zero-allocation
 //! evaluators over the model checker's state vector.
 //!
 //! The checker evaluates every property once per explored transition, so the
@@ -42,13 +20,23 @@
 //!   string is rendered or parsed;
 //! * existence tests ([`crate::Atom::HasDevice`]) fold to constants;
 //! * formulas become flat postfix programs over a shared, deduplicated atom
-//!   table: each distinct atom is evaluated once per transition into a slot
-//!   vector, then every property's program runs pure boolean ops.
+//!   table: each distinct atom is evaluated once per transition into a bit
+//!   of the packed atom valuation, then every property's program runs pure
+//!   boolean ops over it.
 //!
-//! Evaluation reuses an [`EvalScratch`] (slot vector + program stack), so a
-//! steady-state transition check performs no heap allocation.  Leads-to
-//! obligations are tracked in caller-owned per-property monitor counters that
-//! are part of the model-checker state identity.  The interpreted
+//! The programs are a pure function of the atom valuation, and a search
+//! reaches few distinct valuations (464 over `deep_group`'s 1 061 325
+//! transitions), so [`EvalScratch`] memoises each valuation's verdicts: the
+//! violated ids, plus the `(triggered, responded)` bits of every bounded
+//! leads-to property.  A repeated valuation replays them without running a
+//! program; a new one runs the interpreter once and stores its result.  The
+//! memo holds at most a fixed number of entries (it is cleared and refilled
+//! when full) and answers only for the [`CompiledPropertySet`] that filled it.
+//! A steady-state transition check performs no heap allocation.
+//!
+//! Leads-to obligations are tracked in caller-owned per-property monitor
+//! counters that are part of the model-checker state identity; their
+//! countdown runs on every transition, memo hit or not.  The interpreted
 //! [`PropertySet::check_point`] over a snapshot stays the reference
 //! semantics the compiled evaluator is tested against.
 
@@ -59,6 +47,10 @@ use crate::snapshot::{
 use crate::spec::{Atom, DeviceSelect, Expr, Modality, PropertyId};
 use iotsan_devices::{AttrDomain, DeviceState, LocationMode};
 use iotsan_ir::Value;
+use std::borrow::Borrow;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One installed device, as the compiler sees it: identity for selector
 /// matching plus the attribute layout of its state-vector entry.
@@ -292,22 +284,122 @@ impl CompiledProperty {
     }
 }
 
-/// Reusable evaluation buffers: one bool per distinct atom plus the program
-/// stack.  Per-worker, cleared (never reallocated) on every transition.
+/// The most valuations one [`EvalScratch`] memoises; when full, the memo is
+/// cleared and refilled.  Searches reach hundreds to a few thousand distinct
+/// valuations, so the cap only bounds memory on pathological property sets.
+const MEMO_CAP: usize = 1 << 16;
+
+/// Identities handed out to compiled sets (0 marks an empty memo; only
+/// uniqueness matters, so the counter publishes nothing).
+static NEXT_SET_IDENTITY: AtomicU64 = AtomicU64::new(1);
+
+/// What the programs decided about one property under one atom valuation.
+#[derive(Debug, Clone, Copy)]
+enum Verdict {
+    /// The property is violated (a check, or a same-step leads-to).
+    Violated(PropertyId),
+    /// A bounded leads-to property's program results; the countdown they
+    /// drive lives in the caller's monitor slot.
+    Monitor { id: PropertyId, monitor: u16, within: u8, triggered: bool, responded: bool },
+}
+
+/// The verdicts of every property, in set order, for each packed atom
+/// valuation they were computed from.
+#[derive(Debug, Clone, Default)]
+struct Memo {
+    /// The identity of the [`CompiledPropertySet`] whose programs computed
+    /// the entries (0 = none yet).
+    set: u64,
+    /// Valuation → the range of `tape` holding its verdicts.
+    ranges: HashMap<Valuation, (usize, usize)>,
+    /// Every entry's verdicts back to back, so an entry needs no allocation
+    /// of its own (see [`Valuation`]).
+    tape: Vec<Verdict>,
+}
+
+/// A memo key: the packed atom valuation, inline when it fits one word
+/// (every set of at most 64 atoms).  Entries allocated one by one end up
+/// scattered among a search's states: a box per key raised `deep_group`'s
+/// peak RSS by about 1 MiB at equal work.
+#[derive(Debug, Clone)]
+enum Valuation {
+    Word(u64),
+    Words(Box<[u64]>),
+}
+
+impl Valuation {
+    fn new(words: &[u64]) -> Self {
+        match *words {
+            [word] => Valuation::Word(word),
+            _ => Valuation::Words(words.into()),
+        }
+    }
+
+    fn words(&self) -> &[u64] {
+        match self {
+            Valuation::Word(word) => std::slice::from_ref(word),
+            Valuation::Words(words) => words,
+        }
+    }
+}
+
+/// Lookups borrow the scratch's words, so hashing and equality go through
+/// the words too, as [`Borrow`] requires.
+impl Borrow<[u64]> for Valuation {
+    fn borrow(&self) -> &[u64] {
+        self.words()
+    }
+}
+
+impl Hash for Valuation {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.words().hash(state);
+    }
+}
+
+impl PartialEq for Valuation {
+    fn eq(&self, other: &Self) -> bool {
+        self.words() == other.words()
+    }
+}
+
+impl Eq for Valuation {}
+
+/// Reusable evaluation buffers: the packed atom valuation, the program stack
+/// and the verdict memo.  Per-worker; the valuation and the stack are
+/// cleared (never reallocated) on every transition, the memo keeps its
+/// entries across transitions.
 #[derive(Debug, Clone, Default)]
 pub struct EvalScratch {
-    slots: Vec<bool>,
+    /// Atom `i`'s value is bit `i % 64` of word `i / 64`.
+    words: Vec<u64>,
     stack: Vec<bool>,
+    memo: Memo,
 }
 
 /// A [`PropertySet`] compiled against one installed system.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality is content equality; two equal sets compiled separately still
+/// keep separate [`EvalScratch`] memos.
+#[derive(Debug, Clone)]
 pub struct CompiledPropertySet {
     atoms: Vec<CAtom>,
     ops: Vec<Op>,
     props: Vec<CompiledProperty>,
     /// Number of leads-to monitor slots the caller must carry in its state.
     monitor_count: usize,
+    /// Unique per compilation (clones share it: they compute the same
+    /// verdicts); tags the memo entries this set's programs computed.
+    identity: u64,
+}
+
+impl PartialEq for CompiledPropertySet {
+    fn eq(&self, other: &Self) -> bool {
+        self.atoms == other.atoms
+            && self.ops == other.ops
+            && self.props == other.props
+            && self.monitor_count == other.monitor_count
+    }
 }
 
 impl CompiledPropertySet {
@@ -346,7 +438,13 @@ impl CompiledPropertySet {
             };
             props.push(CompiledProperty { id: spec.property_id(), kind, step_only });
         }
-        CompiledPropertySet { atoms: c.atoms, ops: c.ops, props, monitor_count }
+        CompiledPropertySet {
+            atoms: c.atoms,
+            ops: c.ops,
+            props,
+            monitor_count,
+            identity: NEXT_SET_IDENTITY.fetch_add(1, Ordering::Relaxed),
+        }
     }
 
     /// The number of monitor slots leads-to properties with `within > 0`
@@ -370,6 +468,9 @@ impl CompiledPropertySet {
     /// state — every device's state in [`CompileTarget`] order plus the
     /// location mode — and the step observation are visible), appending
     /// violated ids to `out` and updating leads-to monitors in place.
+    ///
+    /// The programs run only for an atom valuation `scratch` has not seen
+    /// with this set; a repeated one replays the memoised verdicts.
     pub fn check_transition(
         &self,
         devices: &[DeviceState],
@@ -380,14 +481,26 @@ impl CompiledPropertySet {
         out: &mut Vec<PropertyId>,
     ) {
         self.fill_slots(Some((devices, mode)), step, scratch);
-        for prop in &self.props {
-            self.check_one(prop, monitors, scratch, out);
+        let EvalScratch { words, stack, memo } = scratch;
+        if memo.set != self.identity || memo.ranges.len() >= MEMO_CAP {
+            memo.ranges.clear();
+            memo.tape.clear();
+            memo.set = self.identity;
         }
+        if let Some(&(start, end)) = memo.ranges.get(words.as_slice()) {
+            apply(&memo.tape[start..end], monitors, out);
+            return;
+        }
+        let start = memo.tape.len();
+        memo.tape.extend(self.props.iter().filter_map(|prop| self.judge(prop, words, stack)));
+        apply(&memo.tape[start..], monitors, out);
+        memo.ranges.insert(Valuation::new(words), (start, memo.tape.len()));
     }
 
     /// Evaluates only the step-only properties (the strict-concurrency
     /// design's non-quiescent steps, where physical-state invariants are
-    /// deferred until the pending-event queue drains).
+    /// deferred until the pending-event queue drains).  Not memoised: the
+    /// state atoms are left unevaluated here.
     pub fn check_step_only(
         &self,
         step: &StepObservation,
@@ -396,92 +509,69 @@ impl CompiledPropertySet {
         out: &mut Vec<PropertyId>,
     ) {
         self.fill_slots(None, step, scratch);
-        for prop in &self.props {
-            if prop.step_only {
-                self.check_one(prop, monitors, scratch, out);
+        for prop in self.props.iter().filter(|p| p.step_only) {
+            if let Some(verdict) = self.judge(prop, &scratch.words, &mut scratch.stack) {
+                apply(&[verdict], monitors, out);
             }
         }
     }
 
-    fn check_one(
+    /// Runs the property's programs on the filled atom valuation: `None`
+    /// when a check or same-step leads-to holds.
+    fn judge(
         &self,
         prop: &CompiledProperty,
-        monitors: &mut [u8],
-        scratch: &mut EvalScratch,
-        out: &mut Vec<PropertyId>,
-    ) {
-        match &prop.kind {
+        words: &[u64],
+        stack: &mut Vec<bool>,
+    ) -> Option<Verdict> {
+        match prop.kind {
             CompiledKind::Check { program } => {
-                if self.run(*program, scratch) {
-                    out.push(prop.id);
-                }
+                self.run(program, words, stack).then_some(Verdict::Violated(prop.id))
             }
             CompiledKind::LeadsTo { trigger, response, within, monitor } => {
-                let triggered = self.run(*trigger, scratch);
-                let responded = self.run(*response, scratch);
-                if *within == 0 {
-                    if triggered && !responded {
-                        out.push(prop.id);
-                    }
-                    return;
-                }
-                let slot = &mut monitors[*monitor as usize];
-                if responded {
-                    // A response discharges every open obligation at once.
-                    *slot = 0;
-                    return;
-                }
-                let mut violated = false;
-                if *slot > 0 {
-                    *slot -= 1;
-                    if *slot == 0 {
-                        violated = true;
-                    }
-                }
-                // The counter tracks the *earliest* open obligation — the
-                // first deadline to expire.  A re-trigger while one is
-                // pending must therefore never refresh the countdown (that
-                // would silently extend the first obligation's deadline and
-                // miss its violation); a new countdown starts only when no
-                // obligation is open (including right after one just
-                // expired — the new trigger stands on its own).
-                if triggered && *slot == 0 {
-                    *slot = *within;
-                }
-                if violated {
-                    out.push(prop.id);
+                let triggered = self.run(trigger, words, stack);
+                let responded = self.run(response, words, stack);
+                if within > 0 {
+                    Some(Verdict::Monitor { id: prop.id, monitor, within, triggered, responded })
+                } else {
+                    (triggered && !responded).then_some(Verdict::Violated(prop.id))
                 }
             }
         }
     }
 
-    /// Evaluates each distinct atom once into the slot vector.  State atoms
-    /// are skipped when no state is given (their slots are then never read
-    /// — only step-only programs run).
+    /// Evaluates each distinct atom once into the packed valuation.  State
+    /// atoms are skipped when no state is given (their bits are then never
+    /// read — only step-only programs run).
     fn fill_slots(
         &self,
         state: Option<(&[DeviceState], LocationMode)>,
         step: &StepObservation,
         scratch: &mut EvalScratch,
     ) {
-        scratch.slots.clear();
-        scratch.slots.resize(self.atoms.len(), false);
-        for (slot, atom) in scratch.slots.iter_mut().zip(&self.atoms) {
-            match state {
-                Some((devices, mode)) => *slot = atom.eval(devices, mode, step),
-                None if !atom.reads_state() => *slot = atom.eval(&[], LocationMode::Home, step),
-                None => {}
-            }
+        let words = &mut scratch.words;
+        words.clear();
+        words.resize(self.atoms.len().div_ceil(64), 0);
+        for (i, atom) in self.atoms.iter().enumerate() {
+            let value = match state {
+                Some((devices, mode)) => atom.eval(devices, mode, step),
+                None if !atom.reads_state() => atom.eval(&[], LocationMode::Home, step),
+                None => false,
+            };
+            words[i / 64] |= u64::from(value) << (i % 64);
         }
     }
 
-    fn run(&self, program: Program, scratch: &mut EvalScratch) -> bool {
+    /// The program interpreter: the only code that computes a verdict.
+    fn run(&self, program: Program, words: &[u64], stack: &mut Vec<bool>) -> bool {
         let ops = &self.ops[program.start as usize..(program.start + program.len) as usize];
-        let stack = &mut scratch.stack;
         stack.clear();
         for op in ops {
             match op {
-                Op::Push(slot) => stack.push(scratch.slots[*slot as usize]),
+                Op::Push(slot) => {
+                    let slot = *slot as usize;
+                    stack.push((words[slot / 64] >> (slot % 64)) & 1 != 0);
+                }
                 Op::Not => {
                     let v = stack.pop().expect("program underflow");
                     stack.push(!v);
@@ -499,6 +589,39 @@ impl CompiledPropertySet {
             }
         }
         stack.pop().expect("empty program")
+    }
+}
+
+/// Appends the violated ids of `verdicts`, in order, running every bounded
+/// leads-to countdown on the way.
+fn apply(verdicts: &[Verdict], monitors: &mut [u8], out: &mut Vec<PropertyId>) {
+    for verdict in verdicts {
+        match *verdict {
+            Verdict::Violated(id) => out.push(id),
+            Verdict::Monitor { id, monitor, within, triggered, responded } => {
+                let slot = &mut monitors[monitor as usize];
+                if responded {
+                    // A response discharges every open obligation at once.
+                    *slot = 0;
+                    continue;
+                }
+                let expired = *slot == 1;
+                *slot = slot.saturating_sub(1);
+                // The counter tracks the *earliest* open obligation — the
+                // first deadline to expire.  A re-trigger while one is
+                // pending must therefore never refresh the countdown (that
+                // would silently extend the first obligation's deadline and
+                // miss its violation); a new countdown starts only when no
+                // obligation is open (including right after one just
+                // expired — the new trigger stands on its own).
+                if triggered && *slot == 0 {
+                    *slot = within;
+                }
+                if expired {
+                    out.push(id);
+                }
+            }
+        }
     }
 }
 
@@ -731,11 +854,28 @@ mod tests {
         /// Violated ids of `set` on a quiet step, compiled — asserted equal
         /// to the interpreted reference on the snapshot.
         fn violated(&self, set: &PropertySet) -> Vec<u32> {
-            let compiled = self.compile(set);
+            self.violated_with(set, &self.compile(set), &mut EvalScratch::default())
+        }
+
+        /// [`Home::violated`] with `compiled` (compiled from `set`) and a
+        /// caller-kept scratch, so its memo may answer.
+        fn violated_with(
+            &self,
+            set: &PropertySet,
+            compiled: &CompiledPropertySet,
+            scratch: &mut EvalScratch,
+        ) -> Vec<u32> {
             let step = StepObservation::default();
             let mut monitors = vec![0u8; compiled.monitor_count()];
             let mut out = Vec::new();
-            self.check(&compiled, &step, &mut monitors, &mut out);
+            compiled.check_transition(
+                &self.devices,
+                self.mode,
+                &step,
+                &mut monitors,
+                scratch,
+                &mut out,
+            );
             let mut got: Vec<u32> = out.into_iter().map(|id| id.0).collect();
             got.sort_unstable();
             let mut want: Vec<u32> =
@@ -996,6 +1136,128 @@ mod tests {
         };
         let set = one(never(1, Expr::any_above(DeviceSelect::any(), "level", 10.0)));
         let _ = CompiledPropertySet::compile(&set, &CompileTarget::new(vec![wide]));
+    }
+
+    #[test]
+    fn one_scratch_answers_for_each_set_with_its_own_programs() {
+        let mut home = Home::household();
+        let unlocked = Expr::capability_attr("lock", "lock", "unlocked");
+        let never_set = one(never(1, unlocked.clone()));
+        let always_set = one(PropertySpec::builder(1, "p").always(unlocked));
+        let (never_c, always_c) = (home.compile(&never_set), home.compile(&always_set));
+        let recompiled = home.compile(&never_set);
+        assert_eq!(recompiled, never_c, "equality stays content equality");
+        // One atom each, so both sets key a valuation by the same word.
+        assert_eq!((never_c.atom_count(), always_c.atom_count()), (1, 1));
+        let mut scratch = EvalScratch::default();
+        let mut current = "locked";
+        for lock in ["locked", "unlocked", "unlocked", "locked", "locked"] {
+            if lock != current {
+                home.set(1, "lock", lock);
+                current = lock;
+            }
+            let violated = lock == "unlocked";
+            for (set, compiled, want) in [
+                (&never_set, &never_c, violated),
+                (&always_set, &always_c, !violated),
+                (&never_set, &recompiled, violated),
+            ] {
+                // `violated_with` also asserts agreement with `check_point`.
+                let got = home.violated_with(set, compiled, &mut scratch);
+                assert_eq!(!got.is_empty(), want, "{lock}");
+                assert_eq!(scratch.memo.ranges.len(), 1, "a switch of set clears the memo");
+            }
+        }
+        // Without a switch, the second valuation is a hit.
+        home.violated_with(&never_set, &never_c, &mut scratch);
+        home.set(1, "lock", "unlocked");
+        home.violated_with(&never_set, &never_c, &mut scratch);
+        home.set(1, "lock", "locked");
+        assert_eq!(home.violated_with(&never_set, &never_c, &mut scratch), Vec::<u32>::new());
+        assert_eq!(scratch.memo.ranges.len(), 2);
+    }
+
+    #[test]
+    fn verdicts_past_the_memo_cap_match_the_interpreter() {
+        // 17 command atoms give 2^17 valuations, more than the memo holds.
+        // A Gray-code walk changes one command per step; it goes past the
+        // cap and back, so both misses after a clear and hits are checked.
+        const COMMANDS: usize = 17;
+        const PAST: usize = 1000;
+        let issued = |k: usize| Expr::command_issued(DeviceSelect::any(), format!("c{k}"));
+        let mut specs: Vec<PropertySpec> =
+            (0..COMMANDS).map(|k| never(k as u32 + 1, issued(k))).collect();
+        specs.push(never(99, Expr::and([issued(0), Expr::not(issued(COMMANDS - 1))])));
+        let set = PropertySet::from_specs(specs);
+        let home = Home::new(&[]);
+        let compiled = home.compile(&set);
+        let snapshot = home.snapshot();
+        let record = |k: usize| crate::snapshot::CommandRecord {
+            app: "A".into(),
+            handler: "h".into(),
+            device: DeviceId(0),
+            device_label: "d0".into(),
+            command: format!("c{k}"),
+            delivered: true,
+            changed_state: true,
+        };
+        let mut step = StepObservation::default();
+        let mut scratch = EvalScratch::default();
+        let mut out = Vec::new();
+        let walk = (0..MEMO_CAP + PAST).chain((MEMO_CAP - PAST..MEMO_CAP + PAST).rev());
+        let mut gray = 0usize;
+        for n in walk {
+            let next = n ^ (n >> 1);
+            let changed = gray ^ next;
+            if changed != 0 {
+                let k = changed.trailing_zeros() as usize;
+                if next & changed != 0 {
+                    step.commands.push(record(k));
+                } else {
+                    step.commands.retain(|c| c.command != format!("c{k}"));
+                }
+            }
+            gray = next;
+            out.clear();
+            compiled.check_transition(&[], home.mode, &step, &mut [], &mut scratch, &mut out);
+            assert_eq!(out, set.check_point(&snapshot, &step), "valuation {gray:#x}");
+            assert!(scratch.memo.ranges.len() <= MEMO_CAP);
+        }
+        // The forward walk refilled PAST entries after the clear; the way
+        // back hit those and missed PAST more.
+        assert_eq!(scratch.memo.ranges.len(), 2 * PAST);
+    }
+
+    #[test]
+    fn valuations_wider_than_a_word_are_memoised_exactly() {
+        let issued = |k: usize| Expr::command_issued(DeviceSelect::any(), format!("c{k}"));
+        let set = PropertySet::from_specs((0..70).map(|k| never(k as u32, issued(k))).collect());
+        let home = Home::new(&[]);
+        let compiled = home.compile(&set);
+        assert_eq!(compiled.atom_count(), 70);
+        let step = |commands: &[usize]| StepObservation {
+            commands: commands
+                .iter()
+                .map(|&k| crate::snapshot::CommandRecord {
+                    app: "A".into(),
+                    handler: "h".into(),
+                    device: DeviceId(0),
+                    device_label: "d0".into(),
+                    command: format!("c{k}"),
+                    delivered: true,
+                    changed_state: true,
+                })
+                .collect(),
+            ..Default::default()
+        };
+        let steps = [step(&[]), step(&[0]), step(&[65]), step(&[0, 69]), step(&[65])];
+        let mut scratch = EvalScratch::default();
+        for step in steps.iter().chain(&steps) {
+            let mut out = Vec::new();
+            compiled.check_transition(&[], home.mode, step, &mut [], &mut scratch, &mut out);
+            assert_eq!(out, set.check_point(&home.snapshot(), step));
+        }
+        assert_eq!(scratch.memo.ranges.len(), 4);
     }
 
     #[test]

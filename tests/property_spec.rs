@@ -14,7 +14,8 @@
 use iotsan::config::{DeviceConfig, SystemConfig};
 use iotsan::devices::{registry, DeviceId, LocationMode};
 use iotsan::properties::{
-    DeviceSelect, EvalScratch, Expr, PropertyClass, PropertySet, PropertySpec, StepObservation,
+    CompiledPropertySet, DeviceSelect, EvalScratch, Expr, PropertyClass, PropertySet, PropertySpec,
+    StepObservation,
 };
 use iotsan::system::{InstalledSystem, SystemState};
 use proptest::prelude::*;
@@ -173,8 +174,7 @@ impl Gen {
 
 /// A random installed household (0–10 devices, mostly drawn from the
 /// devices the built-in properties talk about, sometimes any registry
-/// capability) in a random state: a random in-domain index for every
-/// attribute, random online flags and any of the three location modes.
+/// capability) in a random state (see [`gen_state`]).
 fn gen_household(g: &mut Gen) -> (InstalledSystem, SystemState) {
     const TEMPLATE: [(&str, &str); 14] = [
         ("presenceSensor", ""),
@@ -204,6 +204,13 @@ fn gen_household(g: &mut Gen) -> (InstalledSystem, SystemState) {
         config = config.with_device(DeviceConfig::new(format!("d{i}"), capability, role));
     }
     let system = InstalledSystem::new(Vec::new(), config);
+    let state = gen_state(g, &system);
+    (system, state)
+}
+
+/// A random state of `system`: a random in-domain index for every
+/// attribute, random online flags and any of the three location modes.
+fn gen_state(g: &mut Gen, system: &InstalledSystem) -> SystemState {
     let mut state = system.initial_state();
     for (device, dstate) in system.devices.iter().zip(&mut state.devices) {
         let spec = device.spec();
@@ -213,29 +220,39 @@ fn gen_household(g: &mut Gen) -> (InstalledSystem, SystemState) {
         dstate.set_online(g.pick(4) != 0);
     }
     state.mode = LocationMode::ALL[g.pick(3)];
-    (system, state)
+    state
 }
 
-/// Violated ids of `set` at `state` after `step`: (compiled on the state
-/// vector, interpreted on the snapshot), each sorted.
+/// The first draw (`state`, `step`), two more random draws of the same
+/// household, then the first again: one scratch evaluates all four, so its
+/// memo answers the repeats.
+fn draws(
+    g: &mut Gen,
+    system: &InstalledSystem,
+    state: SystemState,
+    step: StepObservation,
+) -> Vec<(SystemState, StepObservation)> {
+    let mut draws = vec![(state, step)];
+    for _ in 0..2 {
+        let state = gen_state(g, system);
+        draws.push((state, gen_step(g)));
+    }
+    draws.push(draws[0].clone());
+    draws
+}
+
+/// Violated ids of `set` at `state` after `step`: (`compiled` on the state
+/// vector with `scratch`, interpreted on the snapshot), each sorted.
 fn verdicts(
     system: &InstalledSystem,
     state: &SystemState,
-    set: &PropertySet,
+    (set, compiled): (&PropertySet, &CompiledPropertySet),
     step: &StepObservation,
+    scratch: &mut EvalScratch,
 ) -> (Vec<u32>, Vec<u32>) {
-    let compiled = system.compile_properties(set);
     let mut monitors = vec![0u8; compiled.monitor_count()];
-    let mut scratch = EvalScratch::default();
     let mut out = Vec::new();
-    compiled.check_transition(
-        &state.devices,
-        state.mode,
-        step,
-        &mut monitors,
-        &mut scratch,
-        &mut out,
-    );
+    compiled.check_transition(&state.devices, state.mode, step, &mut monitors, scratch, &mut out);
     let mut got: Vec<u32> = out.iter().map(|id| id.0).collect();
     got.sort_unstable();
     let mut want: Vec<u32> =
@@ -340,21 +357,31 @@ proptest! {
         prop_assert_eq!(&parsed, &spec);
         prop_assert_eq!(parsed.content_hash(), spec.content_hash());
 
-        // Compiled verdict == interpreted verdict.
+        // Compiled verdict == interpreted verdict, on memo misses and hits.
         let set = PropertySet::from_specs(vec![parsed]);
-        let (compiled, interpreted) = verdicts(&system, &state, &set, &step);
-        prop_assert_eq!(!compiled.is_empty(), !interpreted.is_empty());
+        let compiled = system.compile_properties(&set);
+        let mut scratch = EvalScratch::default();
+        for (state, step) in draws(&mut g, &system, state, step) {
+            let (got, want) = verdicts(&system, &state, (&set, &compiled), &step, &mut scratch);
+            prop_assert_eq!(!got.is_empty(), !want.is_empty());
+        }
     }
 
     /// The whole built-in corpus agrees between the compiled and interpreted
-    /// paths on random states of random households and random steps.
+    /// paths on random states of random households and random steps, on
+    /// memo misses and hits.
     #[test]
     fn builtin_corpus_compiled_matches_interpreted(seed in 0u64..u64::MAX) {
         let mut g = Gen(seed);
         let (system, state) = gen_household(&mut g);
         let step = gen_step(&mut g);
-        let (got, want) = verdicts(&system, &state, &PropertySet::all(), &step);
-        prop_assert_eq!(got, want);
+        let set = PropertySet::all();
+        let compiled = system.compile_properties(&set);
+        let mut scratch = EvalScratch::default();
+        for (state, step) in draws(&mut g, &system, state, step) {
+            let (got, want) = verdicts(&system, &state, (&set, &compiled), &step, &mut scratch);
+            prop_assert_eq!(got, want);
+        }
     }
 }
 
